@@ -9,7 +9,7 @@
 //! Recorded numbers live in `crates/bench/BASELINES.md`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use soct_core::{check_termination_engine, check_termination_live, FindShapesMode, VerdictCache};
+use soct_core::{check_termination, CheckOpts, FindShapesMode, VerdictCache};
 use soct_model::{Interner, PredId, Schema, Tgd};
 use soct_storage::StorageEngine;
 use std::cell::{Cell, RefCell};
@@ -54,6 +54,15 @@ fn build_live(rows: u64, tracking: bool) -> (Schema, Vec<Tgd>, PredId, StorageEn
     (schema, tgds, r, engine)
 }
 
+/// In-memory `FindShapes` on one thread, optionally through `cache`.
+fn single_thread(cache: Option<&VerdictCache>) -> CheckOpts<'_> {
+    CheckOpts {
+        mode: FindShapesMode::InMemory,
+        threads: 1,
+        cache,
+    }
+}
+
 /// The cold path: full re-derivation against the engine — `FindShapes`
 /// scans every tuple, then simplification + dependency graph + SCCs.
 /// This is what every write would cost without incremental fingerprints.
@@ -63,10 +72,7 @@ fn bench_full_recheck(c: &mut Criterion) {
         let (schema, tgds, _r, engine) = build_live(rows, false);
         group.throughput(Throughput::Elements(rows));
         group.bench_with_input(BenchmarkId::new("tuples", rows), &engine, |b, engine| {
-            b.iter(|| {
-                check_termination_engine(&schema, &tgds, engine, FindShapesMode::InMemory, 1)
-                    .verdict
-            })
+            b.iter(|| check_termination(&schema, &tgds, engine, single_thread(None)).verdict)
         });
     }
     group.finish();
@@ -82,9 +88,8 @@ fn bench_revalidate_after_insert(c: &mut Criterion) {
         let (schema, tgds, r, engine) = build_live(rows, true);
         let cache = VerdictCache::new(64);
         // Warm: the one genuine derivation this scale ever pays.
-        let first =
-            check_termination_live(&schema, &tgds, &engine, FindShapesMode::InMemory, 1, &cache);
-        assert!(!first.hit);
+        let first = check_termination(&schema, &tgds, &engine, single_thread(Some(&cache)));
+        assert!(!first.cache.unwrap().hit);
         let engine = RefCell::new(engine);
         let next = Cell::new(rows);
         group.throughput(Throughput::Elements(1));
@@ -92,10 +97,12 @@ fn bench_revalidate_after_insert(c: &mut Criterion) {
             b.iter(|| {
                 let mut e = engine.borrow_mut();
                 e.insert_packed(r, &fresh_row(next.replace(next.get() + 1)));
-                let got =
-                    check_termination_live(&schema, &tgds, &e, FindShapesMode::InMemory, 1, &cache);
-                assert!(got.hit, "shape-preserving insert must revalidate");
-                got.report.verdict
+                let got = check_termination(&schema, &tgds, &*e, single_thread(Some(&cache)));
+                assert!(
+                    got.cache.unwrap().hit,
+                    "shape-preserving insert must revalidate"
+                );
+                got.verdict
             })
         });
     }

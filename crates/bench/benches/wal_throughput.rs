@@ -9,7 +9,7 @@
 //! `crates/bench/BASELINES.md`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use soct_core::{check_termination_live, FindShapesMode, VerdictCache};
+use soct_core::{check_termination, CheckOpts, FindShapesMode, VerdictCache};
 use soct_model::{Interner, PredId, Schema, Tgd};
 use soct_storage::{open_durable, RealIo, StorageEngine, SyncPolicy, Wal, WalEntry};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -137,14 +137,12 @@ fn bench_insert_under_live_checks(c: &mut Criterion) {
                 let mut checks = 0u64;
                 while !stop.load(Ordering::Relaxed) {
                     let g = state.read().unwrap();
-                    check_termination_live(
-                        &schema,
-                        &tgds,
-                        &g.1,
-                        FindShapesMode::InMemory,
-                        1,
-                        &cache,
-                    );
+                    let opts = CheckOpts {
+                        mode: FindShapesMode::InMemory,
+                        threads: 1,
+                        cache: Some(&cache),
+                    };
+                    check_termination(&schema, &tgds, &g.1, opts);
                     checks += 1;
                 }
                 checks

@@ -1,7 +1,7 @@
 //! Subcommand implementations.
 
 use crate::args::Args;
-use soct_core::{check_termination_threads, ms, FindShapesMode, Verdict};
+use soct_core::{check_termination, ms, CheckOpts, FindShapesMode, Verdict};
 use soct_model::{Database, Instance, Interner, Schema, TgdClass};
 use soct_storage::InstanceSource;
 use std::time::Instant;
@@ -80,7 +80,12 @@ pub fn check(args: &Args) -> Result<(), String> {
     let t0 = Instant::now();
     let report = {
         let _span = soct_obs::span("check");
-        check_termination_threads(&schema, &tgds, &db, mode, threads)
+        let opts = CheckOpts {
+            mode,
+            threads,
+            cache: None,
+        };
+        check_termination(&schema, &tgds, &db, opts)
     };
     let elapsed = t0.elapsed();
     if let Some((session, path)) = trace {

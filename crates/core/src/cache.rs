@@ -10,30 +10,27 @@
 //! - the **ruleset key** is [`fingerprint_ruleset`] — order-, renaming-,
 //!   and interning-invariant;
 //! - the **database key** depends on the TGD class: linear sets key on
-//!   `shape(D)` ([`fingerprint_instance_shapes`]), simple-linear and
-//!   general sets key only on the non-empty predicates
-//!   ([`fingerprint_predicates`]) — the verdict provably depends on
-//!   nothing else (§4, Remark 1).
+//!   `shape(D)` ([`fingerprint_shapes`]), simple-linear and general sets
+//!   key only on the non-empty predicates ([`fingerprint_predicates`]) —
+//!   the verdict provably depends on nothing else (§4, Remark 1). The
+//!   database is read through a [`crate::DbView`], and engine views tag
+//!   their half with [`LIVE_DB_DOMAIN`].
 //!
 //! Entries are spread over a fixed number of shards, each behind its own
 //! mutex, so a serving layer can probe concurrently; every shard enforces
 //! its slice of the LRU bound with timestamp eviction. The whole cache
 //! serialises to a small binary blob (`SOCTVC1\0` framing, in the style
 //! of `soct_storage::persist`) so a service restart starts warm.
+//!
+//! [`fingerprint_shapes`]: soct_model::fingerprint::fingerprint_shapes
+//! [`fingerprint_predicates`]: soct_model::fingerprint::fingerprint_predicates
 
-use crate::find_shapes::FindShapesMode;
-use crate::oracle::{
-    check_termination_engine, check_termination_threads, TerminationReport, Verdict,
-};
+use crate::oracle::{DbInput, TerminationReport, Verdict};
 use crate::timings::CacheTimings;
 use bytes::{Buf, BufMut, BytesMut};
-use soct_model::fingerprint::{
-    fingerprint_instance_shapes, fingerprint_predicates, fingerprint_ruleset, fingerprint_shapes,
-    Fingerprint,
-};
-use soct_model::{FxHashMap, Instance, Schema, Tgd, TgdClass};
+use soct_model::fingerprint::{fingerprint_ruleset, Fingerprint};
+use soct_model::{FxHashMap, Schema, Tgd, TgdClass};
 use soct_obs::Phases;
-use soct_storage::{StorageEngine, TupleSource};
 use std::io;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -49,63 +46,18 @@ pub struct CacheKey {
     pub db: Fingerprint,
 }
 
-/// Computes the cache key for a check request, together with the class the
-/// dispatcher will use. The database half is chosen per class so that the
-/// key never over-discriminates: any two databases mapping to the same key
-/// are guaranteed the same verdict under `check_termination`.
-pub fn cache_key(schema: &Schema, tgds: &[Tgd], db: &Instance) -> (CacheKey, TgdClass) {
-    let class = soct_model::tgd::classify(tgds);
-    let rules = fingerprint_ruleset(schema, tgds);
-    let db_fp = match class {
-        TgdClass::Linear => fingerprint_instance_shapes(schema, db),
-        TgdClass::SimpleLinear | TgdClass::General => {
-            fingerprint_predicates(schema, &db.non_empty_predicates())
-        }
-    };
-    (CacheKey { rules, db: db_fp }, class)
-}
-
-/// Domain tag XORed into the db half of every live-engine cache key.
+/// Domain tag XORed into the db half of every cache key taken over a
+/// `StorageEngine` view.
 ///
 /// Without it, a live check and a body (instance) check over databases
-/// with coinciding fingerprints map to the *same* entry — the collision
-/// PR 9's `serve_metrics` test documented. That sharing is only sound
-/// while the maintained accumulators are provably exact; separating the
-/// domains means a desynced live fingerprint can at worst serve a stale
-/// *live* verdict, never poison the body-check keyspace (and vice
-/// versa). The revalidation property is untouched: live keys still
-/// collide with other live keys exactly when the underlying
-/// fingerprints agree.
-const LIVE_DB_DOMAIN: u128 = 0x9e37_79b9_7f4a_7c15_f39c_c060_5ced_c834;
-
-/// [`cache_key`] against a live [`StorageEngine`]. A tracking-enabled
-/// engine answers the db half from its incrementally-maintained
-/// accumulators in O(1) — this is the revalidation primitive: after any
-/// number of shape-preserving writes the key is unchanged, so a previously
-/// cached verdict is served with zero re-derivation. Engines without
-/// tracking fall back to one scan (producing the same key, so scan-derived
-/// and maintained lookups interchange freely). The db half carries the
-/// `LIVE_DB_DOMAIN` separator, so live entries never share cache slots
-/// with instance-path entries whose fingerprints happen to coincide.
-pub fn cache_key_live(
-    schema: &Schema,
-    tgds: &[Tgd],
-    engine: &StorageEngine,
-) -> (CacheKey, TgdClass) {
-    let class = soct_model::tgd::classify(tgds);
-    let rules = fingerprint_ruleset(schema, tgds);
-    let db_fp = match class {
-        TgdClass::Linear => engine.shape_fingerprint().unwrap_or_else(|| {
-            let shapes = crate::find_shapes::find_shapes(engine, FindShapesMode::InMemory).shapes;
-            fingerprint_shapes(schema, &shapes)
-        }),
-        TgdClass::SimpleLinear | TgdClass::General => engine
-            .predicate_fingerprint()
-            .unwrap_or_else(|| fingerprint_predicates(schema, &engine.non_empty_predicates())),
-    };
-    let db_fp = Fingerprint(db_fp.0 ^ LIVE_DB_DOMAIN);
-    (CacheKey { rules, db: db_fp }, class)
-}
+/// with coinciding fingerprints map to the *same* entry. That sharing is
+/// only sound while the maintained accumulators are provably exact;
+/// separating the domains means a desynced live fingerprint can at worst
+/// serve a stale *live* verdict, never poison the instance keyspace (and
+/// vice versa). The revalidation property is untouched: live keys still
+/// collide with other live keys exactly when the underlying fingerprints
+/// agree.
+pub const LIVE_DB_DOMAIN: u128 = 0x9e37_79b9_7f4a_7c15_f39c_c060_5ced_c834;
 
 /// One cached verdict.
 #[derive(Clone, Copy, Debug)]
@@ -185,14 +137,17 @@ impl VerdictCache {
         &self.shards[(h as usize) % self.shards.len()]
     }
 
-    /// Looks up a verdict, refreshing its LRU stamp on a hit.
-    pub fn get(&self, key: &CacheKey) -> Option<(Verdict, TgdClass)> {
+    /// Looks up the verdict stored for `key`, refreshing its LRU stamp on
+    /// a hit. The class is a function of the ruleset, so an entry stored
+    /// under another `class` (a corrupted or foreign cache file) is not
+    /// trusted: it counts as a miss.
+    pub fn get(&self, key: &CacheKey, class: TgdClass) -> Option<Verdict> {
         let mut shard = self.shard_of(key).lock().expect("cache shard poisoned");
-        match shard.get_mut(key) {
+        match shard.get_mut(key).filter(|e| e.class == class) {
             Some(e) => {
                 e.last_used = self.clock.fetch_add(1, Ordering::Relaxed);
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                Some((e.verdict, e.class))
+                Some(e.verdict)
             }
             None => {
                 self.misses.fetch_add(1, Ordering::Relaxed);
@@ -339,12 +294,9 @@ fn decode_class(b: u8) -> Option<TgdClass> {
     }
 }
 
-/// The result of a cache-aware termination check.
-#[derive(Clone, Debug)]
-pub struct CachedCheck {
-    /// The verdict and dispatch class (identical to what the uncached
-    /// [`crate::check_termination`] would return).
-    pub report: TerminationReport,
+/// How the verdict cache answered one [`crate::check_termination`] call.
+#[derive(Clone, Copy, Debug)]
+pub struct CacheReport {
     /// True when the verdict came from the cache.
     pub hit: bool,
     /// The ruleset half of the key.
@@ -355,102 +307,51 @@ pub struct CachedCheck {
     pub timings: CacheTimings,
 }
 
-/// [`crate::check_termination_threads`] with a verdict cache in front: the
-/// key is computed from the canonical fingerprints, a hit returns in
-/// O(fingerprint + lookup), and a miss runs the checker and populates the
-/// cache. Cached verdicts are exact, never approximate — the key
-/// construction ([`cache_key`]) only equates requests whose verdicts
-/// provably agree.
-pub fn check_termination_cached(
-    schema: &Schema,
-    tgds: &[Tgd],
-    db: &Instance,
-    mode: FindShapesMode,
-    threads: usize,
-    cache: &VerdictCache,
-) -> CachedCheck {
-    let mut phases = Phases::new();
-    let (key, class) = phases.run("fingerprint", || cache_key(schema, tgds, db));
-    let cached = phases.run("lookup", || cache.get(&key));
-
-    if let Some((verdict, cached_class)) = cached {
-        debug_assert_eq!(cached_class, class, "class is a function of the ruleset");
-        return CachedCheck {
-            report: TerminationReport {
-                verdict,
-                class: cached_class,
-            },
-            hit: true,
-            rules_fp: key.rules,
-            db_fp: key.db,
-            timings: CacheTimings::from_phases(&phases),
-        };
-    }
-
-    let report = phases.run("check", || {
-        check_termination_threads(schema, tgds, db, mode, threads)
-    });
-    cache.insert(key, report.verdict, report.class);
-    CachedCheck {
-        report,
-        hit: false,
-        rules_fp: key.rules,
-        db_fp: key.db,
-        timings: CacheTimings::from_phases(&phases),
-    }
-}
-
-/// [`check_termination_cached`] against a live [`StorageEngine`] — the
-/// end-to-end revalidation path. With shape tracking enabled, a hit costs
-/// one ruleset fingerprint, two O(1) accumulator reads, and one shard
-/// probe: sub-millisecond regardless of database size, and guaranteed
-/// whenever no write since the last check changed the class-relevant
-/// fingerprint (the distinct shape set for L, the non-empty relations for
-/// SL/general). A miss dispatches [`check_termination_engine`], which
-/// itself reads shapes from the catalog instead of rescanning tables.
-pub fn check_termination_live(
-    schema: &Schema,
-    tgds: &[Tgd],
-    engine: &StorageEngine,
-    mode: FindShapesMode,
-    threads: usize,
-    cache: &VerdictCache,
-) -> CachedCheck {
-    let mut phases = Phases::new();
-    let (key, class) = phases.run("fingerprint", || cache_key_live(schema, tgds, engine));
-    let cached = phases.run("lookup", || cache.get(&key));
-
-    if let Some((verdict, cached_class)) = cached {
-        debug_assert_eq!(cached_class, class, "class is a function of the ruleset");
-        return CachedCheck {
-            report: TerminationReport {
-                verdict,
-                class: cached_class,
-            },
-            hit: true,
-            rules_fp: key.rules,
-            db_fp: key.db,
-            timings: CacheTimings::from_phases(&phases),
-        };
-    }
-
-    let report = phases.run("check", || {
-        check_termination_engine(schema, tgds, engine, mode, threads)
-    });
-    cache.insert(key, report.verdict, report.class);
-    CachedCheck {
-        report,
-        hit: false,
-        rules_fp: key.rules,
-        db_fp: key.db,
-        timings: CacheTimings::from_phases(&phases),
+impl VerdictCache {
+    /// The cache protocol behind [`crate::check_termination`]:
+    /// fingerprint, look up, and on a miss check and insert. Cached
+    /// verdicts are exact, never approximate: the db half of the key
+    /// ([`crate::DbView::db_fingerprint`]) only equates databases whose
+    /// verdicts provably agree. The report carries the caller's `class`,
+    /// never a stored one.
+    pub(crate) fn check(
+        &self,
+        schema: &Schema,
+        tgds: &[Tgd],
+        class: TgdClass,
+        db: &DbInput,
+    ) -> TerminationReport {
+        let mut phases = Phases::new();
+        let key = phases.run("fingerprint", || CacheKey {
+            rules: fingerprint_ruleset(schema, tgds),
+            db: db.fingerprint(class),
+        });
+        let cached = phases.run("lookup", || self.get(&key, class));
+        let verdict = cached.unwrap_or_else(|| {
+            let verdict = phases.run("check", || db.decide(tgds, class));
+            self.insert(key, verdict, class);
+            verdict
+        });
+        TerminationReport {
+            verdict,
+            class,
+            cache: Some(CacheReport {
+                hit: cached.is_some(),
+                rules_fp: key.rules,
+                db_fp: key.db,
+                timings: CacheTimings::from_phases(&phases),
+            }),
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use soct_model::{Atom, ConstId, Term, VarId};
+    use crate::{check_termination, CheckOpts, DbView, FindShapesMode};
+    use soct_model::{Atom, ConstId, Instance, PredId, Shape, Term, VarId};
+    use soct_storage::StorageEngine;
+    use std::cell::Cell;
 
     fn v(i: u32) -> Term {
         Term::Var(VarId(i))
@@ -458,6 +359,53 @@ mod tests {
 
     fn c(i: u32) -> Term {
         Term::Const(ConstId(i))
+    }
+
+    /// One single-threaded in-memory check through `cache`: the report,
+    /// its cache section, and how often the check read `shape(D)`.
+    fn check(
+        s: &Schema,
+        tgds: &[Tgd],
+        db: &dyn DbView,
+        cache: &VerdictCache,
+    ) -> (TerminationReport, CacheReport, usize) {
+        let view = CountingView {
+            inner: db,
+            shape_reads: Cell::new(0),
+        };
+        let opts = CheckOpts {
+            mode: FindShapesMode::InMemory,
+            threads: 1,
+            cache: Some(cache),
+        };
+        let report = check_termination(s, tgds, &view, opts);
+        let section = report.cache.expect("checked through a cache");
+        (report, section, view.shape_reads.get())
+    }
+
+    /// A view that counts how often a check asks it for `shape(D)`.
+    struct CountingView<'a> {
+        inner: &'a dyn DbView,
+        shape_reads: Cell<usize>,
+    }
+
+    impl DbView for CountingView<'_> {
+        fn db_predicates(&self) -> Vec<PredId> {
+            self.inner.db_predicates()
+        }
+
+        fn db_shapes(&self, schema: &Schema, mode: FindShapesMode, threads: usize) -> Vec<Shape> {
+            self.shape_reads.set(self.shape_reads.get() + 1);
+            self.inner.db_shapes(schema, mode, threads)
+        }
+
+        fn db_fingerprint(
+            &self,
+            class: TgdClass,
+            computed: &dyn Fn() -> Fingerprint,
+        ) -> Fingerprint {
+            self.inner.db_fingerprint(class, computed)
+        }
     }
 
     /// person(x) → ∃y adv(x,y); adv(x,y) → person(y): infinite.
@@ -486,15 +434,15 @@ mod tests {
     fn miss_then_hit_same_verdict() {
         let (s, tgds, db) = infinite_sl();
         let cache = VerdictCache::new(64);
-        let first = check_termination_cached(&s, &tgds, &db, FindShapesMode::InMemory, 1, &cache);
-        assert!(!first.hit);
-        assert_eq!(first.report.verdict, Verdict::Infinite);
-        let second = check_termination_cached(&s, &tgds, &db, FindShapesMode::InMemory, 1, &cache);
-        assert!(second.hit);
-        assert_eq!(second.report.verdict, Verdict::Infinite);
-        assert_eq!(second.report.class, first.report.class);
-        assert_eq!(second.rules_fp, first.rules_fp);
-        assert_eq!(second.db_fp, first.db_fp);
+        let (first, first_c, _) = check(&s, &tgds, &db, &cache);
+        assert!(!first_c.hit);
+        assert_eq!(first.verdict, Verdict::Infinite);
+        let (second, second_c, _) = check(&s, &tgds, &db, &cache);
+        assert!(second_c.hit);
+        assert_eq!(second.verdict, Verdict::Infinite);
+        assert_eq!(second.class, first.class);
+        assert_eq!(second_c.rules_fp, first_c.rules_fp);
+        assert_eq!(second_c.db_fp, first_c.db_fp);
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses), (1, 1));
     }
@@ -504,14 +452,14 @@ mod tests {
         use std::time::Duration;
         let (s, tgds, db) = infinite_sl();
         let cache = VerdictCache::new(64);
-        let miss = check_termination_cached(&s, &tgds, &db, FindShapesMode::InMemory, 1, &cache);
+        let (_, miss, _) = check(&s, &tgds, &db, &cache);
         assert!(!miss.hit);
         assert!(
             miss.timings.t_fingerprint > Duration::ZERO,
             "the miss path must report fingerprint time, not fold it into the hit path"
         );
         assert!(miss.timings.t_check > Duration::ZERO);
-        let hit = check_termination_cached(&s, &tgds, &db, FindShapesMode::InMemory, 1, &cache);
+        let (_, hit, _) = check(&s, &tgds, &db, &cache);
         assert!(hit.hit);
         assert!(hit.timings.t_fingerprint > Duration::ZERO);
         assert_eq!(hit.timings.t_check, Duration::ZERO, "no check ran on a hit");
@@ -523,9 +471,9 @@ mod tests {
     fn permuted_ruleset_hits() {
         let (s, tgds, db) = infinite_sl();
         let cache = VerdictCache::new(64);
-        check_termination_cached(&s, &tgds, &db, FindShapesMode::InMemory, 1, &cache);
+        check(&s, &tgds, &db, &cache);
         let rev: Vec<Tgd> = tgds.iter().rev().cloned().collect();
-        let second = check_termination_cached(&s, &rev, &db, FindShapesMode::InMemory, 1, &cache);
+        let (_, second, _) = check(&s, &rev, &db, &cache);
         assert!(second.hit);
     }
 
@@ -539,8 +487,8 @@ mod tests {
         let mut d2 = Instance::new();
         d2.insert(Atom::new(&s, person, vec![c(41)]).unwrap());
         d2.insert(Atom::new(&s, person, vec![c(42)]).unwrap());
-        check_termination_cached(&s, &tgds, &d1, FindShapesMode::InMemory, 1, &cache);
-        let second = check_termination_cached(&s, &tgds, &d2, FindShapesMode::InMemory, 1, &cache);
+        check(&s, &tgds, &d1, &cache);
+        let (_, second, _) = check(&s, &tgds, &d2, &cache);
         assert!(second.hit, "same non-empty predicates must share the key");
     }
 
@@ -575,7 +523,6 @@ mod tests {
 
     #[test]
     fn live_checks_hit_after_shape_preserving_writes() {
-        use soct_storage::StorageEngine;
         let (s, tgds) = shape_sensitive_l();
         let r = s.pred_by_name("R").unwrap();
         let mut engine = StorageEngine::new();
@@ -583,46 +530,45 @@ mod tests {
         engine.insert(r, &[c(0), c(1)]);
         engine.enable_shape_tracking();
         let cache = VerdictCache::new(64);
-        let first = check_termination_live(&s, &tgds, &engine, FindShapesMode::InMemory, 1, &cache);
-        assert!(!first.hit);
-        assert_eq!(first.report.verdict, Verdict::Finite);
+        let (first, first_c, reads) = check(&s, &tgds, &engine, &cache);
+        assert!(!first_c.hit);
+        assert_eq!(first.verdict, Verdict::Finite);
+        assert_eq!(reads, 1, "a miss reads shape(D) once, from the catalog");
         // Shape-preserving writes: same distinct shape set, so revalidation
         // is a pure cache hit with zero re-derivation.
         for i in 10..30 {
             engine.insert(r, &[c(i), c(i + 100)]);
         }
-        let second =
-            check_termination_live(&s, &tgds, &engine, FindShapesMode::InMemory, 1, &cache);
+        let (_, second, reads) = check(&s, &tgds, &engine, &cache);
         assert!(second.hit, "shape-preserving writes keep the key stable");
-        assert_eq!(second.db_fp, first.db_fp);
+        assert_eq!(reads, 0, "a tracked hit reads no shapes");
+        assert_eq!(second.db_fp, first_c.db_fp);
         // A shape-changing write (R_(1,1) appears) must recompute — and the
         // verdict flips, proving the miss was necessary.
         engine.insert(r, &[c(5), c(5)]);
-        let third = check_termination_live(&s, &tgds, &engine, FindShapesMode::InMemory, 1, &cache);
-        assert!(!third.hit);
-        assert_ne!(third.db_fp, first.db_fp);
-        assert_eq!(third.report.verdict, Verdict::Infinite);
+        let (third, third_c, _) = check(&s, &tgds, &engine, &cache);
+        assert!(!third_c.hit);
+        assert_ne!(third_c.db_fp, first_c.db_fp);
+        assert_eq!(third.verdict, Verdict::Infinite);
         // Deleting the witness restores the original key: hit again.
         assert!(engine.delete(r, &[c(5), c(5)]));
-        let fourth =
-            check_termination_live(&s, &tgds, &engine, FindShapesMode::InMemory, 1, &cache);
-        assert!(fourth.hit);
-        assert_eq!(fourth.report.verdict, Verdict::Finite);
-        assert_eq!(fourth.db_fp, first.db_fp);
+        let (fourth, fourth_c, _) = check(&s, &tgds, &engine, &cache);
+        assert!(fourth_c.hit);
+        assert_eq!(fourth.verdict, Verdict::Finite);
+        assert_eq!(fourth_c.db_fp, first_c.db_fp);
     }
 
     #[test]
     fn live_and_instance_paths_are_domain_separated() {
-        use soct_storage::StorageEngine;
         let (s, tgds) = shape_sensitive_l();
         let r = s.pred_by_name("R").unwrap();
         // Seed the cache through the instance path...
         let mut db = Instance::new();
         db.insert(Atom::new(&s, r, vec![c(0), c(1)]).unwrap());
         let cache = VerdictCache::new(64);
-        let via_instance =
-            check_termination_cached(&s, &tgds, &db, FindShapesMode::InMemory, 1, &cache);
-        assert!(!via_instance.hit);
+        let (via_instance, via_instance_c, reads) = check(&s, &tgds, &db, &cache);
+        assert!(!via_instance_c.hit);
+        assert_eq!(reads, 1, "fingerprint and checker share one scan");
         // ...then check the live path over equivalent contents. The
         // underlying fingerprints coincide, but the live key carries the
         // domain tag: no sharing with the instance-path entry, so a
@@ -630,24 +576,24 @@ mod tests {
         let mut engine = StorageEngine::new();
         engine.create_table(r, "R", 2);
         engine.insert(r, &[c(7), c(9)]);
-        let untracked =
-            check_termination_live(&s, &tgds, &engine, FindShapesMode::InMemory, 1, &cache);
-        assert!(!untracked.hit, "live keys live in their own domain");
-        assert_ne!(untracked.db_fp, via_instance.db_fp);
-        assert_eq!(untracked.rules_fp, via_instance.rules_fp);
-        assert_eq!(untracked.report.verdict, via_instance.report.verdict);
+        let (untracked, untracked_c, reads) = check(&s, &tgds, &engine, &cache);
+        assert!(!untracked_c.hit, "live keys live in their own domain");
+        assert_eq!(reads, 1, "fingerprint and checker share one scan");
+        assert_ne!(untracked_c.db_fp, via_instance_c.db_fp);
+        assert_eq!(untracked_c.db_fp.0, via_instance_c.db_fp.0 ^ LIVE_DB_DOMAIN);
+        assert_eq!(untracked_c.rules_fp, via_instance_c.rules_fp);
+        assert_eq!(untracked.verdict, via_instance.verdict);
         // Within the live domain, scan-derived and maintained keys still
         // interchange: enabling tracking hits the entry the scan seeded.
         engine.enable_shape_tracking();
-        let tracked =
-            check_termination_live(&s, &tgds, &engine, FindShapesMode::InMemory, 1, &cache);
+        let (_, tracked, reads) = check(&s, &tgds, &engine, &cache);
         assert!(tracked.hit, "maintained key matches the scan-derived key");
-        assert_eq!(tracked.db_fp, untracked.db_fp);
+        assert_eq!(reads, 0);
+        assert_eq!(tracked.db_fp, untracked_c.db_fp);
     }
 
     #[test]
     fn live_sl_keys_on_nonempty_predicates() {
-        use soct_storage::StorageEngine;
         let (s, tgds, _) = infinite_sl();
         let person = s.pred_by_name("person").unwrap();
         let adv = s.pred_by_name("adv").unwrap();
@@ -657,19 +603,45 @@ mod tests {
         engine.insert(person, &[c(0)]);
         engine.enable_shape_tracking();
         let cache = VerdictCache::new(64);
-        let first = check_termination_live(&s, &tgds, &engine, FindShapesMode::InMemory, 1, &cache);
-        assert!(!first.hit);
-        assert_eq!(first.report.verdict, Verdict::Infinite);
+        let (first, first_c, _) = check(&s, &tgds, &engine, &cache);
+        assert!(!first_c.hit);
+        assert_eq!(first.verdict, Verdict::Infinite);
         // More tuples in already-populated relations: same key.
         engine.insert(person, &[c(1)]);
-        let second =
-            check_termination_live(&s, &tgds, &engine, FindShapesMode::InMemory, 1, &cache);
+        let (_, second, _) = check(&s, &tgds, &engine, &cache);
         assert!(second.hit);
         // Populating a previously-empty relation changes the SL key.
         engine.insert(adv, &[c(0), c(1)]);
-        let third = check_termination_live(&s, &tgds, &engine, FindShapesMode::InMemory, 1, &cache);
+        let (_, third, _) = check(&s, &tgds, &engine, &cache);
         assert!(!third.hit);
-        assert_ne!(third.db_fp, first.db_fp);
+        assert_ne!(third.db_fp, first_c.db_fp);
+    }
+
+    #[test]
+    fn a_stored_class_never_overrides_the_computed_one() {
+        let (s, tgds) = shape_sensitive_l();
+        let r = s.pred_by_name("R").unwrap();
+        let mut db = Instance::new();
+        db.insert(Atom::new(&s, r, vec![c(0), c(1)]).unwrap());
+        let seeded = VerdictCache::new(8);
+        check(&s, &tgds, &db, &seeded);
+        // Flip the one entry's class byte from Linear (1) to another valid
+        // code, SimpleLinear (0), as a damaged cache file would.
+        let mut bytes = seeded.to_bytes();
+        let last = bytes.len() - 1;
+        assert_eq!(bytes[last], class_code(TgdClass::Linear));
+        bytes[last] = class_code(TgdClass::SimpleLinear);
+        let cache = VerdictCache::new(8);
+        cache.load_bytes(&bytes).unwrap();
+        let (report, first, _) = check(&s, &tgds, &db, &cache);
+        assert!(!first.hit, "an entry under another class is a miss");
+        assert_eq!(report.class, TgdClass::Linear);
+        assert_eq!(report.verdict, Verdict::Finite);
+        // The recomputed verdict overwrote the entry: the next check hits.
+        let (again, second, _) = check(&s, &tgds, &db, &cache);
+        assert!(second.hit);
+        assert_eq!(again.class, TgdClass::Linear);
+        assert_eq!(cache.len(), 1);
     }
 
     #[test]
@@ -704,24 +676,24 @@ mod tests {
         cache.insert(k1, Verdict::Finite, TgdClass::SimpleLinear);
         cache.insert(k2, Verdict::Infinite, TgdClass::SimpleLinear);
         // Shard holds one entry: k2 must have evicted k1.
-        assert!(cache.get(&k2).is_some());
-        assert!(cache.get(&k1).is_none());
+        assert!(cache.get(&k2, TgdClass::SimpleLinear).is_some());
+        assert!(cache.get(&k1, TgdClass::SimpleLinear).is_none());
     }
 
     #[test]
     fn bytes_round_trip() {
         let (s, tgds, db) = infinite_sl();
         let cache = VerdictCache::new(64);
-        check_termination_cached(&s, &tgds, &db, FindShapesMode::InMemory, 1, &cache);
+        check(&s, &tgds, &db, &cache);
         let bytes = cache.to_bytes();
         let restored = VerdictCache::new(64);
         restored.load_bytes(&bytes).unwrap();
         assert_eq!(restored.len(), cache.len());
         assert_eq!(restored.to_bytes(), bytes);
         // The restored cache serves the hit directly.
-        let r = check_termination_cached(&s, &tgds, &db, FindShapesMode::InMemory, 1, &restored);
-        assert!(r.hit);
-        assert_eq!(r.report.verdict, Verdict::Infinite);
+        let (r, restored_c, _) = check(&s, &tgds, &db, &restored);
+        assert!(restored_c.hit);
+        assert_eq!(r.verdict, Verdict::Infinite);
     }
 
     #[test]
@@ -767,11 +739,14 @@ mod tests {
         let restored = VerdictCache::new(8);
         restored.load(&path).unwrap();
         assert_eq!(
-            restored.get(&CacheKey {
-                rules: Fingerprint(7),
-                db: Fingerprint(8),
-            }),
-            Some((Verdict::Unknown, TgdClass::General))
+            restored.get(
+                &CacheKey {
+                    rules: Fingerprint(7),
+                    db: Fingerprint(8),
+                },
+                TgdClass::General
+            ),
+            Some(Verdict::Unknown)
         );
         std::fs::remove_file(&path).ok();
     }

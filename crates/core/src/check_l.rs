@@ -11,7 +11,7 @@
 //! special cycle in `dg(simple_D(Σ))` is automatically supported.
 
 use crate::dynsimpl::{dyn_simplification, DynSimplification};
-use crate::find_shapes::{find_shapes, FindShapesMode, ShapesReport};
+use crate::find_shapes::{find_shapes, FindShapesMode};
 use crate::timings::LTimings;
 use soct_graph::{find_special_sccs, DependencyGraph};
 use soct_model::{Schema, Shape, Tgd};
@@ -108,28 +108,6 @@ pub fn check_l_with_shapes(schema: &Schema, tgds: &[Tgd], db_shapes: &[Shape]) -
         shape_stats: ShapeQueryStats::default(),
         tuples_scanned: 0,
     }
-}
-
-/// Algorithm 3 from rule text (fills `t-parse`) against a tuple source.
-pub fn is_chase_finite_l_text(
-    text: &str,
-    src: &dyn TupleSource,
-    mode: FindShapesMode,
-) -> Result<(LCheckReport, Schema, Vec<Tgd>), soct_parser::ParseError> {
-    let mut schema = Schema::new();
-    let mut consts = soct_model::Interner::new();
-    let mut phases = Phases::new();
-    let tgds = phases.run("parse", || {
-        soct_parser::parse_tgds(text, &mut schema, &mut consts)
-    })?;
-    let mut report = is_chase_finite_l(&schema, &tgds, src, mode);
-    report.timings.t_parse = phases.duration("parse");
-    Ok((report, schema, tgds))
-}
-
-/// Shapes report for callers that want both the shapes and the check.
-pub fn find_db_shapes(src: &dyn TupleSource, mode: FindShapesMode) -> ShapesReport {
-    find_shapes(src, mode)
 }
 
 #[cfg(test)]
@@ -272,19 +250,17 @@ mod tests {
     }
 
     #[test]
-    fn text_entry_point_over_engine() {
-        let mut schema = Schema::new();
-        let r = schema.add_predicate("r", 2).unwrap();
+    fn in_database_check_over_an_engine() {
+        // Example 3.4's R(x, x) → ∃z R(z, x) against an engine holding R(a, a).
+        let (schema, _, tgds) = example_3_4(true);
+        let r = schema.pred_by_name("R").unwrap();
         let mut engine = StorageEngine::new();
-        engine.create_table(r, "r", 2);
+        engine.create_table(r, "R", 2);
         engine.insert(r, &[c(0), c(0)]);
-        let (rep, _, _) =
-            is_chase_finite_l_text("r(X, X) -> r(Z, X).\n", &engine, FindShapesMode::InDatabase)
-                .unwrap();
+        let rep = is_chase_finite_l(&schema, &tgds, &engine, FindShapesMode::InDatabase);
         // Shape (1,1) present ⇒ rule fires producing shape (1,2); shape
         // (1,2) does not re-trigger the rule ⇒ finite.
         assert!(rep.finite);
-        assert!(rep.timings.t_parse > std::time::Duration::ZERO);
         assert_eq!(rep.n_db_shapes, 1);
     }
 

@@ -20,7 +20,6 @@ use crate::timings::SlTimings;
 use soct_graph::{find_special_sccs, supports, DependencyGraph};
 use soct_model::{FxHashSet, PredId, Schema, Tgd};
 use soct_obs::Phases;
-use soct_storage::TupleSource;
 
 /// Report of one `IsChaseFinite[SL]` run.
 #[derive(Clone, Debug)]
@@ -95,17 +94,6 @@ pub fn is_chase_finite_sl(
         num_special_sccs: reps.len(),
         supported,
     }
-}
-
-/// Algorithm 1 with the database behind a [`TupleSource`] — runs the
-/// catalog query first.
-pub fn is_chase_finite_sl_source(
-    schema: &Schema,
-    tgds: &[Tgd],
-    src: &dyn TupleSource,
-) -> SlCheckReport {
-    let db_preds: FxHashSet<PredId> = src.non_empty_predicates().into_iter().collect();
-    is_chase_finite_sl(schema, tgds, &db_preds)
 }
 
 /// Algorithm 1 from rule text: parses (filling `t-parse`), then checks.

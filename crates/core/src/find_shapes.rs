@@ -235,11 +235,6 @@ pub fn find_shapes_materialized(engine: &StorageEngine) -> Option<ShapesReport> 
     })
 }
 
-/// Shapes restricted to one predicate — convenience for tests and stats.
-pub fn shapes_of_pred(report: &ShapesReport, pred: PredId) -> Vec<&Shape> {
-    report.shapes.iter().filter(|s| s.pred == pred).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -323,7 +318,7 @@ mod tests {
         let src = InstanceSource::new(&schema, &inst);
         let rep = find_shapes(&src, FindShapesMode::InMemory);
         assert_eq!(rep.shapes.len(), 2);
-        assert_eq!(shapes_of_pred(&rep, r).len(), 2);
+        assert_eq!(rep.shapes.iter().filter(|s| s.pred == r).count(), 2);
         let rep_db = find_shapes(&src, FindShapesMode::InDatabase);
         assert_eq!(rep.shapes, rep_db.shapes);
     }
@@ -373,7 +368,7 @@ mod tests {
         assert_eq!(mem.shapes, dbm.shapes);
         // r contributes shapes (1,1) and (1,2); p contributes (1,2).
         assert_eq!(mem.shapes.len(), 3);
-        assert_eq!(shapes_of_pred(&mem, p).len(), 1);
+        assert_eq!(mem.shapes.iter().filter(|s| s.pred == p).count(), 1);
         // And it agrees with the decoded-instance route.
         let via_instance = soct_model::shape::shapes_of_instance(&res.store.to_instance());
         assert_eq!(mem.shapes, via_instance);

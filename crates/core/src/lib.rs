@@ -7,10 +7,14 @@
 //! (Algorithm 2), the timing instrumentation behind every figure of §7–§9,
 //! and the materialization-based oracle used for cross-validation.
 //!
-//! `FindShapes` and the linear checker's shape phase can fan their
-//! per-relation work out over worker threads ([`find_shapes_parallel`],
-//! [`is_chase_finite_l_parallel`], [`check_termination_threads`]); results
-//! are identical to the sequential entry points for every thread count.
+//! [`check_termination`] is the one checker entry point. It reads the
+//! database through a [`DbView`] (an in-memory instance or a storage
+//! engine), and [`CheckOpts`] picks the `FindShapes` mode, the worker
+//! threads, and an optional [`VerdictCache`] in front. `FindShapes` and the
+//! linear checker's shape phase can fan their per-relation work out over
+//! worker threads ([`find_shapes_parallel`], [`is_chase_finite_l_parallel`]);
+//! results are identical to the sequential functions for every thread
+//! count.
 
 #![warn(missing_docs)]
 
@@ -22,17 +26,12 @@ pub mod find_shapes;
 pub mod oracle;
 pub mod timings;
 
-pub use cache::{
-    cache_key, cache_key_live, check_termination_cached, check_termination_live, CacheKey,
-    CacheStats, CachedCheck, VerdictCache,
-};
+pub use cache::{CacheKey, CacheReport, CacheStats, VerdictCache, LIVE_DB_DOMAIN};
 pub use check_l::{
-    check_l_with_shapes, is_chase_finite_l, is_chase_finite_l_parallel, is_chase_finite_l_text,
-    LCheckReport,
+    check_l_with_shapes, is_chase_finite_l, is_chase_finite_l_parallel, LCheckReport,
 };
 pub use check_sl::{
-    derivable_predicates, is_chase_finite_sl, is_chase_finite_sl_source, is_chase_finite_sl_text,
-    SlCheckReport,
+    derivable_predicates, is_chase_finite_sl, is_chase_finite_sl_text, SlCheckReport,
 };
 pub use dynsimpl::{dyn_simplification, DynSimplification};
 pub use find_shapes::{
@@ -40,7 +39,6 @@ pub use find_shapes::{
     find_shapes_parallel, FindShapesMode, ShapesReport,
 };
 pub use oracle::{
-    check_termination, check_termination_engine, check_termination_threads, materialization_check,
-    TerminationReport, Verdict,
+    check_termination, materialization_check, CheckOpts, DbView, TerminationReport, Verdict,
 };
 pub use timings::{ms, CacheTimings, LTimings, SlTimings};

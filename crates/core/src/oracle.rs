@@ -1,16 +1,22 @@
 //! Cross-checking machinery: the materialization-based checker wired up for
 //! linear TGDs (simplify first, then bound — see `soct-chase::bounds`), and
-//! an auto-dispatching front door over the three TGD classes.
+//! the one auto-dispatching checker over the three TGD classes, reading its
+//! database through a [`DbView`].
 
+use crate::cache::{CacheReport, VerdictCache, LIVE_DB_DOMAIN};
+use crate::check_l::check_l_with_shapes;
 use crate::check_sl::{derivable_predicates, is_chase_finite_sl};
 use crate::dynsimpl::dyn_simplification;
-use crate::find_shapes::FindShapesMode;
+use crate::find_shapes::{find_shapes_materialized, find_shapes_parallel, FindShapesMode};
 use soct_chase::{is_chase_finite_materialization, MaterializationReport};
 use soct_graph::{find_special_sccs, supports, DependencyGraph};
+use soct_model::fingerprint::{fingerprint_predicates, fingerprint_shapes, Fingerprint};
 use soct_model::shape::shapes_of_instance;
 use soct_model::simplify::simplify_instance;
-use soct_model::{FxHashSet, Instance, PredId, Schema, Tgd, TgdClass};
+use soct_model::{FxHashSet, Instance, PredId, Schema, Shape, Tgd, TgdClass};
+use soct_obs::Phases;
 use soct_storage::{InstanceSource, StorageEngine, TupleSource};
+use std::cell::OnceCell;
 
 /// Materialization-based termination check, complete for simple-linear and
 /// linear TGDs (§1.4). Linear sets are dynamically simplified first so the
@@ -60,20 +66,111 @@ pub enum Verdict {
     Unknown,
 }
 
-/// Combined report of the auto-dispatching checker.
+/// Combined report of [`check_termination`].
 #[derive(Clone, Debug)]
 pub struct TerminationReport {
     /// The verdict reached.
     pub verdict: Verdict,
     /// The class the input was dispatched on.
     pub class: TgdClass,
+    /// How the verdict cache answered, when the check ran with one
+    /// ([`CheckOpts::cache`]).
+    pub cache: Option<CacheReport>,
+}
+
+/// Where a check reads its database from. The db-dependent phase of every
+/// checker only asks for the non-empty predicates (SL and general sets,
+/// the catalog query of §5.3) or for `shape(D)` (L sets, §5.4), and the
+/// verdict cache keys on a fingerprint of exactly that.
+pub trait DbView {
+    /// The predicates with at least one tuple.
+    fn db_predicates(&self) -> Vec<PredId>;
+
+    /// `shape(D)`, sorted: `FindShapes` under `mode` over `threads`
+    /// workers (`0` = auto, as in [`soct_chase::resolve_threads`]), unless
+    /// the view keeps the shapes itself.
+    fn db_shapes(&self, schema: &Schema, mode: FindShapesMode, threads: usize) -> Vec<Shape>;
+
+    /// The class-dependent database half of a verdict-cache key: the shape
+    /// set for L, the non-empty predicates for SL/general (§4, Remark 1 —
+    /// the verdict depends on nothing else). `computed` fingerprints what
+    /// the two methods above return; a view that maintains the
+    /// fingerprint itself answers without calling it.
+    fn db_fingerprint(&self, _class: TgdClass, computed: &dyn Fn() -> Fingerprint) -> Fingerprint {
+        computed()
+    }
+}
+
+impl DbView for Instance {
+    fn db_predicates(&self) -> Vec<PredId> {
+        self.non_empty_predicates()
+    }
+
+    fn db_shapes(&self, schema: &Schema, mode: FindShapesMode, threads: usize) -> Vec<Shape> {
+        find_shapes_parallel(&InstanceSource::new(schema, self), mode, threads).shapes
+    }
+}
+
+/// A live engine. With shape tracking on
+/// (`StorageEngine::enable_shape_tracking`), `shape(D)` is read from the
+/// catalog without scanning a table, and the fingerprint is an O(1) read
+/// of the maintained accumulators — so after shape-preserving writes a
+/// cached verdict revalidates with no re-derivation. Without tracking,
+/// both fall back to one scan, which yields the same fingerprint, so
+/// maintained and scan-derived keys interchange. Every engine fingerprint
+/// carries [`LIVE_DB_DOMAIN`].
+impl DbView for StorageEngine {
+    fn db_predicates(&self) -> Vec<PredId> {
+        self.non_empty_predicates()
+    }
+
+    fn db_shapes(&self, _schema: &Schema, mode: FindShapesMode, threads: usize) -> Vec<Shape> {
+        find_shapes_materialized(self)
+            .unwrap_or_else(|| find_shapes_parallel(self, mode, threads))
+            .shapes
+    }
+
+    fn db_fingerprint(&self, class: TgdClass, computed: &dyn Fn() -> Fingerprint) -> Fingerprint {
+        let maintained = match class {
+            TgdClass::Linear => self.shape_fingerprint(),
+            TgdClass::SimpleLinear | TgdClass::General => self.predicate_fingerprint(),
+        };
+        Fingerprint(maintained.unwrap_or_else(computed).0 ^ LIVE_DB_DOMAIN)
+    }
+}
+
+/// How [`check_termination`] runs. `From<FindShapesMode>` gives the
+/// defaults: automatic thread count, no cache.
+#[derive(Clone, Copy, Debug)]
+pub struct CheckOpts<'a> {
+    /// `FindShapes` implementation, when the view has to scan for
+    /// `shape(D)`.
+    pub mode: FindShapesMode,
+    /// Worker threads for that scan (`0` = auto, as in
+    /// [`soct_chase::resolve_threads`]). The verdict is identical for
+    /// every thread count.
+    pub threads: usize,
+    /// A verdict cache in front of the checker: a hit costs the
+    /// fingerprints and one lookup, a miss runs the checker and inserts.
+    pub cache: Option<&'a VerdictCache>,
+}
+
+impl From<FindShapesMode> for CheckOpts<'_> {
+    fn from(mode: FindShapesMode) -> Self {
+        CheckOpts {
+            mode,
+            threads: 0,
+            cache: None,
+        }
+    }
 }
 
 /// Checks semi-oblivious chase termination, dispatching on the TGD class:
 /// `IsChaseFinite[SL]` for simple-linear sets, `IsChaseFinite[L]` for linear
 /// sets, and the sound D-weak-acyclicity test for general sets (returning
 /// [`Verdict::Unknown`] when it fails — the general problem is undecidable,
-/// §1.3).
+/// §1.3). The database is any [`DbView`]: an in-memory [`Instance`] or a
+/// [`StorageEngine`]; the verdict is identical for equivalent contents.
 ///
 /// ```
 /// use soct_core::{check_termination, FindShapesMode, Verdict};
@@ -101,128 +198,92 @@ pub struct TerminationReport {
 /// let report = check_termination(&schema, &tgds, &db, FindShapesMode::InMemory);
 /// assert_eq!(report.verdict, Verdict::Infinite); // advisors all the way up
 /// ```
-pub fn check_termination(
+pub fn check_termination<'a>(
     schema: &Schema,
     tgds: &[Tgd],
-    db: &Instance,
-    mode: FindShapesMode,
+    db: &dyn DbView,
+    opts: impl Into<CheckOpts<'a>>,
 ) -> TerminationReport {
-    check_termination_threads(schema, tgds, db, mode, 0)
+    let opts = opts.into();
+    let input = DbInput {
+        schema,
+        view: db,
+        mode: opts.mode,
+        threads: opts.threads,
+        shapes: OnceCell::new(),
+    };
+    let class = soct_model::tgd::classify(tgds);
+    match opts.cache {
+        Some(cache) => cache.check(schema, tgds, class, &input),
+        None => TerminationReport {
+            verdict: input.decide(tgds, class),
+            class,
+            cache: None,
+        },
+    }
 }
 
-/// [`check_termination`] with the `FindShapes` phase of the linear checker
-/// fanned out over worker threads (`threads` as in
-/// [`soct_chase::resolve_threads`]; `0` = auto). The verdict is identical
-/// for every thread count.
-pub fn check_termination_threads(
-    schema: &Schema,
-    tgds: &[Tgd],
-    db: &Instance,
+/// The database-dependent input of one check. `shape(D)` is read from the
+/// view at most once: the cache key and the checker share it, so a miss
+/// never pays for it twice.
+pub(crate) struct DbInput<'a> {
+    schema: &'a Schema,
+    view: &'a dyn DbView,
     mode: FindShapesMode,
     threads: usize,
-) -> TerminationReport {
-    let class = soct_model::tgd::classify(tgds);
-    let verdict = match class {
-        TgdClass::SimpleLinear => {
-            let db_preds: FxHashSet<PredId> = db.non_empty_predicates().into_iter().collect();
-            if is_chase_finite_sl(schema, tgds, &db_preds).finite {
-                Verdict::Finite
-            } else {
-                Verdict::Infinite
-            }
-        }
-        TgdClass::Linear => {
-            let src = InstanceSource::new(schema, db);
-            if crate::check_l::is_chase_finite_l_parallel(schema, tgds, &src, mode, threads).finite
-            {
-                Verdict::Finite
-            } else {
-                Verdict::Infinite
-            }
-        }
-        TgdClass::General => {
-            // D-weak-acyclicity: sufficient for termination of any TGD set.
-            let graph = DependencyGraph::build(schema, tgds);
-            let scc = find_special_sccs(&graph);
-            let reps = scc.special_representatives();
-            let supported = if reps.is_empty() {
-                false
-            } else {
-                let db_preds: FxHashSet<PredId> = db.non_empty_predicates().into_iter().collect();
-                let derivable = derivable_predicates(tgds, &db_preds);
-                supports(&graph, schema, &reps, |p| derivable.contains(&p))
-            };
-            if supported {
-                Verdict::Unknown
-            } else {
-                Verdict::Finite
-            }
-        }
-    };
-    TerminationReport { verdict, class }
+    shapes: OnceCell<Vec<Shape>>,
 }
 
-/// [`check_termination_threads`] against a live [`StorageEngine`] instead
-/// of an in-memory instance. The verdict is identical for equivalent
-/// contents; what changes is the db-dependent cost: when the engine
-/// maintains a shape catalog (`StorageEngine::enable_shape_tracking`), the
-/// linear checker reads `shape(D)` straight from the catalog — no table is
-/// scanned at all — and the SL/general dispatch only consults the table
-/// directory. Without a catalog, the linear path falls back to the
-/// scanning `FindShapes` over the engine.
-pub fn check_termination_engine(
-    schema: &Schema,
-    tgds: &[Tgd],
-    engine: &StorageEngine,
-    mode: FindShapesMode,
-    threads: usize,
-) -> TerminationReport {
-    let class = soct_model::tgd::classify(tgds);
-    let verdict = match class {
-        TgdClass::SimpleLinear => {
-            let db_preds: FxHashSet<PredId> = engine.non_empty_predicates().into_iter().collect();
-            if is_chase_finite_sl(schema, tgds, &db_preds).finite {
-                Verdict::Finite
-            } else {
-                Verdict::Infinite
+impl DbInput<'_> {
+    fn pred_set(&self) -> FxHashSet<PredId> {
+        self.view.db_predicates().into_iter().collect()
+    }
+
+    fn shapes(&self) -> &[Shape] {
+        self.shapes.get_or_init(|| {
+            Phases::new().run("shapes", || {
+                self.view.db_shapes(self.schema, self.mode, self.threads)
+            })
+        })
+    }
+
+    /// The view's class-dependent cache fingerprint.
+    pub(crate) fn fingerprint(&self, class: TgdClass) -> Fingerprint {
+        self.view.db_fingerprint(class, &|| match class {
+            TgdClass::Linear => fingerprint_shapes(self.schema, self.shapes()),
+            TgdClass::SimpleLinear | TgdClass::General => {
+                fingerprint_predicates(self.schema, &self.view.db_predicates())
             }
-        }
-        TgdClass::Linear => {
-            let finite = match engine.shape_catalog() {
-                Some(cat) => {
-                    crate::check_l::check_l_with_shapes(schema, tgds, &cat.shapes()).finite
+        })
+    }
+
+    /// The class dispatch: the verdict for `tgds` over this database.
+    pub(crate) fn decide(&self, tgds: &[Tgd], class: TgdClass) -> Verdict {
+        let schema = self.schema;
+        let finite = match class {
+            TgdClass::SimpleLinear => is_chase_finite_sl(schema, tgds, &self.pred_set()).finite,
+            TgdClass::Linear => check_l_with_shapes(schema, tgds, self.shapes()).finite,
+            TgdClass::General => {
+                // D-weak-acyclicity is sufficient for termination of any
+                // TGD set; when it fails, the general problem stays open.
+                let graph = DependencyGraph::build(schema, tgds);
+                let reps = find_special_sccs(&graph).special_representatives();
+                let supported = !reps.is_empty() && {
+                    let derivable = derivable_predicates(tgds, &self.pred_set());
+                    supports(&graph, schema, &reps, |p| derivable.contains(&p))
+                };
+                if supported {
+                    return Verdict::Unknown;
                 }
-                None => {
-                    crate::check_l::is_chase_finite_l_parallel(schema, tgds, engine, mode, threads)
-                        .finite
-                }
-            };
-            if finite {
-                Verdict::Finite
-            } else {
-                Verdict::Infinite
+                true
             }
+        };
+        if finite {
+            Verdict::Finite
+        } else {
+            Verdict::Infinite
         }
-        TgdClass::General => {
-            let graph = DependencyGraph::build(schema, tgds);
-            let scc = find_special_sccs(&graph);
-            let reps = scc.special_representatives();
-            let supported = if reps.is_empty() {
-                false
-            } else {
-                let db_preds: FxHashSet<PredId> =
-                    engine.non_empty_predicates().into_iter().collect();
-                let derivable = derivable_predicates(tgds, &db_preds);
-                supports(&graph, schema, &reps, |p| derivable.contains(&p))
-            };
-            if supported {
-                Verdict::Unknown
-            } else {
-                Verdict::Finite
-            }
-        }
-    };
-    TerminationReport { verdict, class }
+    }
 }
 
 #[cfg(test)]

@@ -82,7 +82,7 @@ impl LTimings {
 }
 
 /// Timing breakdown of a cache-aware check
-/// ([`crate::check_termination_cached`]): the request-side counterpart of
+/// ([`crate::check_termination`] with a cache): the request-side counterpart of
 /// the paper's phase split — fingerprinting replaces the db-dependent
 /// phase on a hit, and `t_check` is zero exactly when the verdict came
 /// from the cache.

@@ -5,8 +5,8 @@
 use crate::json::JsonObject;
 use soct_chase::{run_chase_columnar, ChaseConfig, ChaseOutcome, ChaseVariant};
 use soct_core::{
-    check_termination_cached, check_termination_live, find_shapes_parallel, FindShapesMode,
-    Verdict, VerdictCache,
+    check_termination, find_shapes_parallel, CheckOpts, DbView, FindShapesMode, Verdict,
+    VerdictCache,
 };
 use soct_model::{
     Atom, ConstId, Database, FxHashMap, Interner, PredId, Schema, SymbolId, Term, Tgd, TgdClass,
@@ -478,74 +478,52 @@ impl TerminationService {
     /// `POST /check`: decide termination for the ruleset (and optional
     /// facts) in the body. Supports `?mode=memory|db`, and `?db=live` to
     /// check the rules against the resident live database instead of the
-    /// body's facts / the critical instance.
+    /// body's facts / the critical instance. Live rules parse against a
+    /// *clone* of the live schema, so rule-only predicates intern freely
+    /// without mutating the shared vocabulary — a predicate with no table
+    /// is simply an empty relation. Body checks never take the live-db
+    /// lock.
     fn check(&self, body: &str, query: &FxHashMap<String, String>) -> ServiceResult {
-        match query.get("db").map(String::as_str) {
-            Some("live") => return self.check_live(body, query),
+        let live = match query.get("db").map(String::as_str) {
+            None => None,
+            Some("live") => Some(self.live.as_ref().ok_or_else(no_live_db)?),
             Some(other) => return Err((400, format!("db expects `live`, got `{other}`"))),
-            None => {}
-        }
-        let program = parse_program(body)?;
-        let mode = mode_from(query, self.cfg.mode)?;
-        let (schema, tgds, db) = (program.schema, program.tgds, program.db);
-        let checked = check_termination_cached(
-            &schema,
-            &tgds,
-            &db,
-            mode,
-            self.cfg.check_threads,
-            &self.cache,
-        );
+        };
+        let (guard, body_db);
+        let (schema, tgds, db, db_atoms): (Schema, Vec<Tgd>, &dyn DbView, u64) = match live {
+            None => {
+                let p = parse_program(body)?;
+                body_db = p.db;
+                (p.schema, p.tgds, &body_db, body_db.len() as u64)
+            }
+            Some(live) => {
+                guard = live.read().expect("live db poisoned");
+                let mut schema = guard.schema.clone();
+                let mut consts = guard.consts.clone();
+                let tgds = soct_parser::parse_tgds(body, &mut schema, &mut consts)
+                    .map_err(|e| (400, e.to_string()))?;
+                (schema, tgds, &guard.engine, guard.engine.total_rows())
+            }
+        };
+        let opts = CheckOpts {
+            mode: mode_from(query, self.cfg.mode)?,
+            threads: self.cfg.check_threads,
+            cache: Some(&self.cache),
+        };
+        let report = check_termination(&schema, &tgds, db, opts);
+        let checked = report.cache.expect("checked through the service cache");
         if !checked.hit {
             self.persist_best_effort();
-        }
-        let mut o = JsonObject::new();
-        o.str_field("verdict", verdict_str(checked.report.verdict))
-            .str_field("class", class_str(checked.report.class))
-            .u64_field("rules", tgds.len() as u64)
-            .u64_field("db_atoms", db.len() as u64)
-            .str_field("rule_fp", &checked.rules_fp.to_string())
-            .str_field("db_fp", &checked.db_fp.to_string())
-            .bool_field("cached", checked.hit);
-        Ok(o.finish())
-    }
-
-    /// `/check?db=live`: decide termination for the body's rules against
-    /// the resident live database. Rules parse against a *clone* of the
-    /// live schema, so rule-only predicates intern freely without mutating
-    /// the shared vocabulary — a predicate with no table is simply an
-    /// empty relation, exactly the semantics the checkers expect. With
-    /// shape tracking on, the db half of the cache key is an O(1)
-    /// accumulator read: revalidation after shape-preserving writes is a
-    /// pure cache hit, independent of database size.
-    fn check_live(&self, body: &str, query: &FxHashMap<String, String>) -> ServiceResult {
-        let live = self.live.as_ref().ok_or_else(no_live_db)?;
-        let mode = mode_from(query, self.cfg.mode)?;
-        let guard = live.read().expect("live db poisoned");
-        let mut schema = guard.schema.clone();
-        let mut consts = guard.consts.clone();
-        let tgds = soct_parser::parse_tgds(body, &mut schema, &mut consts)
-            .map_err(|e| (400, e.to_string()))?;
-        let checked = check_termination_live(
-            &schema,
-            &tgds,
-            &guard.engine,
-            mode,
-            self.cfg.check_threads,
-            &self.cache,
-        );
-        if checked.hit {
+        } else if live.is_some() {
             self.stats
                 .live_revalidations
                 .fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.persist_best_effort();
         }
         let mut o = JsonObject::new();
-        o.str_field("verdict", verdict_str(checked.report.verdict))
-            .str_field("class", class_str(checked.report.class))
+        o.str_field("verdict", verdict_str(report.verdict))
+            .str_field("class", class_str(report.class))
             .u64_field("rules", tgds.len() as u64)
-            .u64_field("db_atoms", guard.engine.total_rows())
+            .u64_field("db_atoms", db_atoms)
             .str_field("rule_fp", &checked.rules_fp.to_string())
             .str_field("db_fp", &checked.db_fp.to_string())
             .bool_field("cached", checked.hit);

@@ -58,10 +58,9 @@ pub mod prelude {
         ChaseOutcome, ChaseResult, ChaseStore, ChaseVariant, ColumnarStore, MaterializationVerdict,
     };
     pub use soct_core::{
-        cache_key, cache_key_live, check_termination, check_termination_cached,
-        check_termination_engine, check_termination_live, check_termination_threads, find_shapes,
-        find_shapes_parallel, is_chase_finite_l, is_chase_finite_l_parallel, is_chase_finite_sl,
-        materialization_check, FindShapesMode, Verdict, VerdictCache,
+        check_termination, find_shapes, find_shapes_parallel, is_chase_finite_l,
+        is_chase_finite_l_parallel, is_chase_finite_sl, materialization_check, CheckOpts, DbView,
+        FindShapesMode, Verdict, VerdictCache,
     };
     pub use soct_graph::{find_special_sccs, DependencyGraph};
     pub use soct_model::{

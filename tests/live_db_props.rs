@@ -55,6 +55,15 @@ fn vocabulary(rules: &str) -> (Schema, Interner, Vec<Tgd>, [PredAndArity; 3]) {
 
 type PredAndArity = (soct::model::PredId, usize);
 
+/// A single-threaded in-memory check through `cache`.
+fn through(cache: &VerdictCache) -> CheckOpts<'_> {
+    CheckOpts {
+        mode: FindShapesMode::InMemory,
+        threads: 1,
+        cache: Some(cache),
+    }
+}
+
 fn row_of(op: Op, arity: usize) -> Vec<Term> {
     let mut row = vec![Term::Const(ConstId(op.a))];
     if arity == 2 {
@@ -143,19 +152,20 @@ fn run_interleaving(rules: &str, ops: &[Op]) -> Result<(), TestCaseError> {
 
         // (c) The cached verdict is the scratch verdict — and both engines
         // produce the same cache key, so revalidation is sound.
-        let (live_key, _) = cache_key_live(&schema, &tgds, &engine);
-        let (scratch_key, _) = cache_key_live(&schema, &tgds, &scratch);
-        prop_assert_eq!(live_key, scratch_key);
-        let cached =
-            check_termination_live(&schema, &tgds, &engine, FindShapesMode::InMemory, 1, &cache);
-        let truth = check_termination_engine(&schema, &tgds, &scratch, FindShapesMode::InMemory, 1);
-        prop_assert_eq!(cached.report.verdict, truth.verdict, "step {}", step);
-        prop_assert_eq!(cached.report.class, truth.class);
+        let cached = check_termination(&schema, &tgds, &engine, through(&cache));
+        let truth = check_termination(&schema, &tgds, &scratch, through(&VerdictCache::new(1)));
+        let (live_key, scratch_key) = (cached.cache.unwrap(), truth.cache.unwrap());
+        prop_assert!(!scratch_key.hit);
+        prop_assert_eq!(
+            (live_key.rules_fp, live_key.db_fp),
+            (scratch_key.rules_fp, scratch_key.db_fp)
+        );
+        prop_assert_eq!(cached.verdict, truth.verdict, "step {}", step);
+        prop_assert_eq!(cached.class, truth.class);
         // Asking again without a write in between must be a pure hit.
-        let again =
-            check_termination_live(&schema, &tgds, &engine, FindShapesMode::InMemory, 1, &cache);
-        prop_assert!(again.hit);
-        prop_assert_eq!(again.report.verdict, truth.verdict);
+        let again = check_termination(&schema, &tgds, &engine, through(&cache));
+        prop_assert!(again.cache.unwrap().hit);
+        prop_assert_eq!(again.verdict, truth.verdict);
     }
     Ok(())
 }
@@ -207,16 +217,16 @@ fn multiplicity_transitions_round_trip_exactly() {
 
     // And the verdicts across that cycle come from the same cache entries.
     let cache = VerdictCache::new(16);
-    let a = check_termination_live(&schema, &tgds, &engine, FindShapesMode::InMemory, 1, &cache);
-    assert_eq!(a.report.verdict, Verdict::Infinite);
+    let a = check_termination(&schema, &tgds, &engine, through(&cache));
+    assert_eq!(a.verdict, Verdict::Infinite);
     assert!(engine.delete(r, &tup));
-    let b = check_termination_live(&schema, &tgds, &engine, FindShapesMode::InMemory, 1, &cache);
-    assert_eq!(b.report.verdict, Verdict::Finite);
+    let b = check_termination(&schema, &tgds, &engine, through(&cache));
+    assert_eq!(b.verdict, Verdict::Finite);
     engine.insert(r, &tup);
-    let c = check_termination_live(&schema, &tgds, &engine, FindShapesMode::InMemory, 1, &cache);
+    let c = check_termination(&schema, &tgds, &engine, through(&cache));
     assert!(
-        c.hit,
+        c.cache.unwrap().hit,
         "restored shape set must revalidate the first verdict"
     );
-    assert_eq!(c.report.verdict, Verdict::Infinite);
+    assert_eq!(c.verdict, Verdict::Infinite);
 }

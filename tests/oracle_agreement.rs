@@ -138,15 +138,16 @@ proptest! {
 }
 
 /// Corpus-wide agreement: every checked-in corpus entry gets the manifest's
-/// expected verdict from **all four** checker entry points — the plain
-/// checker, the thread-pool checker, the cached checker, and the live
-/// checker over a writable engine holding the critical instance.
+/// expected verdict in every cell of {instance, untracked engine, tracked
+/// engine} × threads {1, 4} × {no cache, miss, hit}; the engines hold the
+/// critical instance. Every cache key carries the db fingerprint the wire
+/// has always shown: the instance's shape set (L) or non-empty predicates
+/// (SL/general), XORed with the live domain tag on engine views.
 #[test]
-fn corpus_agrees_across_all_four_checker_entry_points() {
+fn corpus_agrees_across_views_threads_and_cache_states() {
     let dir = soct::gen::repo_corpus_dir();
     let entries = soct::gen::load_manifest(&dir).expect("checked-in corpus manifest");
     assert!(!entries.is_empty());
-    let cache = VerdictCache::new(entries.len() * 2);
     for e in &entries {
         let text = std::fs::read_to_string(dir.join(&e.file)).expect(&e.file);
         let mut schema = Schema::new();
@@ -159,50 +160,54 @@ fn corpus_agrees_across_all_four_checker_entry_points() {
             e.file
         );
         let db = soct::serve::critical_instance(&schema, &tgds, &mut consts);
+        let mut untracked = StorageEngine::new();
+        untracked.load_instance(&schema, &db);
+        let mut tracked = StorageEngine::new();
+        tracked.load_instance(&schema, &db);
+        tracked.enable_shape_tracking();
 
-        let plain = check_termination(&schema, &tgds, &db, FindShapesMode::InMemory);
-        assert_eq!(plain.verdict, e.verdict, "{}: check_termination", e.file);
+        let class = soct::model::tgd::classify(&tgds);
+        let instance_fp = match class {
+            TgdClass::Linear => fingerprint_instance_shapes(&schema, &db),
+            TgdClass::SimpleLinear | TgdClass::General => {
+                fingerprint_predicates(&schema, &db.non_empty_predicates())
+            }
+        };
+        let engine_fp = Fingerprint(instance_fp.0 ^ soct::core::LIVE_DB_DOMAIN);
+        let views: [(&str, &dyn DbView, Fingerprint); 3] = [
+            ("instance", &db, instance_fp),
+            ("untracked engine", &untracked, engine_fp),
+            ("tracked engine", &tracked, engine_fp),
+        ];
+        for (view_name, view, db_fp) in views {
+            for threads in [1, 4] {
+                let cell = format!("{}: {view_name}, {threads} threads", e.file);
+                let opts = CheckOpts {
+                    mode: FindShapesMode::InMemory,
+                    threads,
+                    cache: None,
+                };
+                let plain = check_termination(&schema, &tgds, view, opts);
+                assert_eq!(plain.verdict, e.verdict, "{cell}, no cache");
+                assert_eq!(plain.class, class, "{cell}, no cache");
+                assert!(plain.cache.is_none(), "{cell}, no cache");
 
-        let threaded = check_termination_threads(&schema, &tgds, &db, FindShapesMode::InMemory, 4);
-        assert_eq!(
-            threaded.verdict, e.verdict,
-            "{}: check_termination_threads",
-            e.file
-        );
-
-        // Cached: the first call computes, the second must hit.
-        let cached =
-            check_termination_cached(&schema, &tgds, &db, FindShapesMode::InMemory, 1, &cache);
-        assert_eq!(
-            cached.report.verdict, e.verdict,
-            "{}: check_termination_cached",
-            e.file
-        );
-        let again =
-            check_termination_cached(&schema, &tgds, &db, FindShapesMode::InMemory, 1, &cache);
-        assert!(
-            again.hit,
-            "{}: second cached check must be a cache hit",
-            e.file
-        );
-        assert_eq!(
-            again.report.verdict, e.verdict,
-            "{}: cached hit verdict",
-            e.file
-        );
-
-        // Live: the critical instance loaded into a writable engine with
-        // incremental shape tracking on.
-        let mut engine = StorageEngine::new();
-        engine.load_instance(&schema, &db);
-        engine.enable_shape_tracking();
-        let live =
-            check_termination_live(&schema, &tgds, &engine, FindShapesMode::InMemory, 1, &cache);
-        assert_eq!(
-            live.report.verdict, e.verdict,
-            "{}: check_termination_live",
-            e.file
-        );
+                let cache = VerdictCache::new(4);
+                for (state, hit) in [("miss", false), ("hit", true)] {
+                    let opts = CheckOpts {
+                        cache: Some(&cache),
+                        ..opts
+                    };
+                    let report = check_termination(&schema, &tgds, view, opts);
+                    let checked = report.cache.expect("cache section");
+                    assert_eq!(report.verdict, e.verdict, "{cell}, {state}");
+                    assert_eq!(report.class, class, "{cell}, {state}");
+                    assert_eq!(checked.hit, hit, "{cell}, {state}");
+                    assert_eq!(checked.rules_fp.0, e.fingerprint, "{cell}, {state}");
+                    assert_eq!(checked.db_fp, db_fp, "{cell}, {state}");
+                }
+            }
+        }
     }
 }
 
