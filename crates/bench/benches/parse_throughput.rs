@@ -1,5 +1,12 @@
 //! `t-parse`: parser throughput over generated SL rule sets (§7 reports
 //! parse time as one of the time parameters for rule sets up to 1M TGDs).
+//!
+//! Each iteration parses one set from text into a fresh schema, so it
+//! times the lexer, the parser's reused buffers, schema interning and
+//! `Tgd::from_atoms` — four allocations per single-head simple-linear
+//! rule (atom slice, two argument tuples, variable slice; see the
+//! `soct_parser` crate docs). Allocation counts are gated exactly by
+//! `tests/parse_allocs.rs`; this bench reports the time.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use soct_gen::profiles::Scale;

@@ -202,16 +202,13 @@ pub fn simplify_tgd(
     assert!(tgd.is_linear(), "simplification requires a linear TGD");
     let body_atom = &tgd.body()[0];
     let spec_body = Atom::new_unchecked(body_atom.pred, spec.apply_terms(&body_atom.terms));
-    let simple_body = simplify_atom(interner, base, &spec_body);
-    let head: Vec<Atom> = tgd
-        .head()
-        .iter()
-        .map(|a| {
-            let spec_head = Atom::new_unchecked(a.pred, spec.apply_terms(&a.terms));
-            simplify_atom(interner, base, &spec_head)
-        })
-        .collect();
-    Tgd::new(vec![simple_body], head).expect("simplification of a valid TGD is a valid TGD")
+    let mut atoms = Vec::with_capacity(1 + tgd.head().len());
+    atoms.push(simplify_atom(interner, base, &spec_body));
+    atoms.extend(tgd.head().iter().map(|a| {
+        let spec_head = Atom::new_unchecked(a.pred, spec.apply_terms(&a.terms));
+        simplify_atom(interner, base, &spec_head)
+    }));
+    Tgd::from_atoms(atoms, 1).expect("simplification of a valid TGD is a valid TGD")
 }
 
 /// `simple(σ)`: the simplifications of a linear TGD under *all*

@@ -4,7 +4,7 @@
 use crate::atom::{variables_of, Atom};
 use crate::error::ModelError;
 use crate::schema::Schema;
-use crate::term::VarId;
+use crate::term::{Term, VarId};
 use std::fmt;
 
 /// The syntactic class of a TGD or a set of TGDs.
@@ -30,100 +30,123 @@ impl fmt::Display for TgdClass {
 
 /// A TGD `φ(x̄, ȳ) → ∃z̄ ψ(x̄, z̄)`.
 ///
-/// Invariants (enforced by [`Tgd::new`]):
+/// Invariants (enforced by [`Tgd::from_atoms`]):
 /// - body and head are non-empty conjunctions of atoms;
 /// - all arguments are variables (TGDs are constant-free sentences);
 /// - the *frontier* `fr(σ)` is the set of variables occurring in both body
 ///   and head; the *existential* variables are the head-only ones.
-#[derive(Clone, PartialEq, Eq, Hash, Debug)]
+///
+/// Layout: two boxed slices besides the atoms' own argument tuples.
+/// `atoms` is `body ++ head`, split at `body_len`; `vars` is
+/// `frontier ++ existential`, split at `frontier_len`, each part sorted
+/// ascending. Two TGDs are equal when their body, head, frontier and
+/// existential variables are.
+#[derive(Clone, PartialEq, Eq, Hash)]
 pub struct Tgd {
-    body: Vec<Atom>,
-    head: Vec<Atom>,
-    /// Frontier variables, sorted ascending.
-    frontier: Vec<VarId>,
-    /// Existentially quantified variables, sorted ascending.
-    existential: Vec<VarId>,
+    atoms: Box<[Atom]>,
+    body_len: u32,
+    vars: Box<[VarId]>,
+    frontier_len: u32,
 }
 
 impl Tgd {
     /// Builds and validates a TGD.
     pub fn new(body: Vec<Atom>, head: Vec<Atom>) -> Result<Self, ModelError> {
-        if body.is_empty() {
+        let body_len = body.len();
+        let mut atoms = Vec::with_capacity(body_len + head.len());
+        atoms.extend(body);
+        atoms.extend(head);
+        Tgd::from_atoms(atoms, body_len)
+    }
+
+    /// Builds and validates the TGD `atoms[..body_len] → atoms[body_len..]`.
+    ///
+    /// One pass over the arguments validates them and splits the distinct
+    /// head variables into frontier and existential ones. The atoms are
+    /// kept as given (a vector with `len == capacity` is not reallocated),
+    /// so the variable slice is the only allocation; it shrinks in place
+    /// when the head repeats a variable.
+    pub fn from_atoms(atoms: Vec<Atom>, body_len: usize) -> Result<Self, ModelError> {
+        if body_len == 0 {
             return Err(ModelError::EmptyConjunction { part: "body" });
         }
-        if head.is_empty() {
+        if body_len >= atoms.len() {
             return Err(ModelError::EmptyConjunction { part: "head" });
         }
-        for a in body.iter().chain(head.iter()) {
-            for t in a.terms.iter() {
-                match t {
-                    crate::term::Term::Const(_) => return Err(ModelError::ConstantInTgd),
-                    crate::term::Term::Null(_) => return Err(ModelError::NullInTgd),
-                    crate::term::Term::Var(_) => {}
-                }
+        let (body, head) = atoms.split_at(body_len);
+        for t in body.iter().flat_map(|a| a.terms.iter()) {
+            var_of(t)?;
+        }
+        // The distinct head variables: frontier ones (also in the body)
+        // fill `vars` from the front, existential ones from the back, and
+        // the gap left by repeated head variables is closed at the end.
+        let head_terms: usize = head.iter().map(Atom::arity).sum();
+        let mut vars = vec![VarId(0); head_terms];
+        let (mut f, mut e) = (0, head_terms);
+        for t in head.iter().flat_map(|a| a.terms.iter()) {
+            let v = var_of(t)?;
+            if vars[..f].contains(&v) || vars[e..].contains(&v) {
+                continue;
+            }
+            if body.iter().any(|a| a.terms.contains(t)) {
+                vars[f] = v;
+                f += 1;
+            } else {
+                e -= 1;
+                vars[e] = v;
             }
         }
-        let body_vars = variables_of(&body);
-        let head_vars = variables_of(&head);
-        let mut frontier: Vec<VarId> = head_vars
-            .iter()
-            .copied()
-            .filter(|v| body_vars.contains(v))
-            .collect();
-        frontier.sort_unstable();
-        let mut existential: Vec<VarId> = head_vars
-            .into_iter()
-            .filter(|v| !body_vars.contains(v))
-            .collect();
-        existential.sort_unstable();
+        vars[..f].sort_unstable();
+        vars[e..].sort_unstable();
+        vars.drain(f..e);
         Ok(Tgd {
-            body,
-            head,
-            frontier,
-            existential,
+            atoms: atoms.into_boxed_slice(),
+            body_len: body_len as u32,
+            vars: vars.into_boxed_slice(),
+            frontier_len: f as u32,
         })
     }
 
     /// `body(σ)`.
     #[inline]
     pub fn body(&self) -> &[Atom] {
-        &self.body
+        &self.atoms[..self.body_len as usize]
     }
 
     /// `head(σ)`.
     #[inline]
     pub fn head(&self) -> &[Atom] {
-        &self.head
+        &self.atoms[self.body_len as usize..]
     }
 
     /// `fr(σ)`: the frontier variables, sorted ascending.
     #[inline]
     pub fn frontier(&self) -> &[VarId] {
-        &self.frontier
+        &self.vars[..self.frontier_len as usize]
     }
 
     /// The existentially quantified variables, sorted ascending.
     #[inline]
     pub fn existential(&self) -> &[VarId] {
-        &self.existential
+        &self.vars[self.frontier_len as usize..]
     }
 
     /// True if `fr(σ) = ∅`. Such TGDs fire at most once under the
     /// semi-oblivious chase (the frontier witness is the empty tuple); the
     /// checkers handle them natively instead of normalising (see DESIGN.md).
     pub fn has_empty_frontier(&self) -> bool {
-        self.frontier.is_empty()
+        self.frontier_len == 0
     }
 
     /// True for linear TGDs (single body atom).
     #[inline]
     pub fn is_linear(&self) -> bool {
-        self.body.len() == 1
+        self.body_len == 1
     }
 
     /// True for simple-linear TGDs (linear and no repeated body variable).
     pub fn is_simple_linear(&self) -> bool {
-        self.is_linear() && !self.body[0].has_repeated_var()
+        self.is_linear() && !self.atoms[0].has_repeated_var()
     }
 
     /// The most specific class this TGD belongs to.
@@ -139,17 +162,39 @@ impl Tgd {
 
     /// All distinct body variables, in first-occurrence order.
     pub fn body_variables(&self) -> Vec<VarId> {
-        variables_of(&self.body)
+        variables_of(self.body())
     }
 
     /// All distinct head variables, in first-occurrence order.
     pub fn head_variables(&self) -> Vec<VarId> {
-        variables_of(&self.head)
+        variables_of(self.head())
     }
 
     /// Renders the TGD against a schema, e.g. `r(X0,X1) -> s(X1,X2)`.
     pub fn display<'a>(&'a self, schema: &'a Schema) -> TgdDisplay<'a> {
         TgdDisplay { tgd: self, schema }
+    }
+}
+
+/// Renders the four parts the layout packs, as separate fields.
+impl fmt::Debug for Tgd {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Tgd")
+            .field("body", &self.body())
+            .field("head", &self.head())
+            .field("frontier", &self.frontier())
+            .field("existential", &self.existential())
+            .finish()
+    }
+}
+
+/// The argument `t` of a TGD atom as a variable; TGDs are constant- and
+/// null-free.
+fn var_of(t: &Term) -> Result<VarId, ModelError> {
+    match *t {
+        Term::Var(v) => Ok(v),
+        Term::Const(_) => Err(ModelError::ConstantInTgd),
+        Term::Null(_) => Err(ModelError::NullInTgd),
     }
 }
 
@@ -161,14 +206,14 @@ pub struct TgdDisplay<'a> {
 
 impl fmt::Display for TgdDisplay<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for (i, a) in self.tgd.body.iter().enumerate() {
+        for (i, a) in self.tgd.body().iter().enumerate() {
             if i > 0 {
                 write!(f, ", ")?;
             }
             write!(f, "{}", a.display(self.schema))?;
         }
         write!(f, " -> ")?;
-        for (i, a) in self.tgd.head.iter().enumerate() {
+        for (i, a) in self.tgd.head().iter().enumerate() {
             if i > 0 {
                 write!(f, ", ")?;
             }
@@ -206,7 +251,6 @@ pub fn predicates_of(tgds: &[Tgd]) -> Vec<crate::schema::PredId> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::term::Term;
 
     fn v(i: u32) -> Term {
         Term::Var(VarId(i))
@@ -288,6 +332,15 @@ mod tests {
             Err(ModelError::ConstantInTgd)
         ));
         let a = Atom::new(&s, r, vec![v(0), v(1)]).unwrap();
+        let null = Atom::new(&s, r, vec![v(0), Term::Null(crate::term::NullId(0))]).unwrap();
+        assert_eq!(
+            Tgd::new(vec![a.clone()], vec![null.clone()]),
+            Err(ModelError::NullInTgd)
+        );
+        assert_eq!(
+            Tgd::new(vec![null], vec![a.clone()]),
+            Err(ModelError::NullInTgd)
+        );
         assert!(Tgd::new(vec![], vec![a.clone()]).is_err());
         assert!(Tgd::new(vec![a], vec![]).is_err());
     }
@@ -318,5 +371,59 @@ mod tests {
         )
         .unwrap();
         assert_eq!(tgd.display(&s).to_string(), "r(X0,X1) -> p(X1,X2)");
+    }
+
+    /// Atoms over `PredId(arity)` from per-atom variable ids; `offset`
+    /// shifts every id (a head shifted past the body's ids has an empty
+    /// frontier).
+    fn atoms(ids: &[Vec<u32>], offset: u32) -> Vec<Atom> {
+        ids.iter()
+            .map(|a| {
+                let terms = a.iter().map(|&i| v(i + offset)).collect::<Vec<_>>();
+                Atom::new_unchecked(crate::schema::PredId(a.len() as u32), terms)
+            })
+            .collect()
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The packed layout answers exactly what the `variables_of`
+        /// definitions do: ids are drawn from a small range, so variables
+        /// repeat within and across atoms, and one head in four is
+        /// shifted past the body's ids.
+        #[test]
+        fn packed_layout_matches_the_variables_of_reference(
+            body_ids in proptest::collection::vec(proptest::collection::vec(0u32..6, 1..6), 1..4),
+            head_ids in proptest::collection::vec(proptest::collection::vec(0u32..10, 1..7), 1..4),
+            disjoint in 0u32..4,
+        ) {
+            let body = atoms(&body_ids, 0);
+            let head = atoms(&head_ids, if disjoint == 0 { 6 } else { 0 });
+            let tgd = Tgd::new(body.clone(), head.clone()).unwrap();
+
+            let (bv, hv) = (variables_of(&body), variables_of(&head));
+            let mut frontier: Vec<VarId> = hv.iter().copied().filter(|x| bv.contains(x)).collect();
+            let mut existential: Vec<VarId> = hv.iter().copied().filter(|x| !bv.contains(x)).collect();
+            frontier.sort_unstable();
+            existential.sort_unstable();
+            let class = match body.len() {
+                1 if !body[0].has_repeated_var() => TgdClass::SimpleLinear,
+                1 => TgdClass::Linear,
+                _ => TgdClass::General,
+            };
+            prop_assert_eq!(tgd.body(), &body[..]);
+            prop_assert_eq!(tgd.head(), &head[..]);
+            prop_assert_eq!(tgd.frontier(), &frontier[..]);
+            prop_assert_eq!(tgd.existential(), &existential[..]);
+            prop_assert_eq!(tgd.has_empty_frontier(), frontier.is_empty());
+            prop_assert_eq!(tgd.class(), class);
+            prop_assert_eq!(tgd.body_variables(), bv);
+            prop_assert_eq!(tgd.head_variables(), hv);
+            let packed = Tgd::from_atoms(body.into_iter().chain(head).collect(), body_ids.len());
+            prop_assert_eq!(packed.unwrap(), tgd);
+        }
     }
 }

@@ -1,8 +1,10 @@
 //! A byte-level lexer for the rule/fact format.
 //!
 //! Parsing time (`t-parse`) is one of the quantities the paper measures for
-//! sets of up to one million TGDs (§7), so the lexer avoids allocation:
-//! identifiers are returned as slices of the input.
+//! sets of up to one million TGDs (§7), so the lexer never allocates:
+//! identifiers and quoted constants are returned as slices of the input,
+//! and a token is a `Copy` value. (Only an error message renders a token
+//! into a `String`.)
 
 use crate::error::{ParseError, ParseErrorKind};
 
@@ -48,6 +50,8 @@ pub struct Lexer<'a> {
     pos: usize,
     line: u32,
     line_start: usize,
+    /// Line and column of the last token produced.
+    token_start: (u32, u32),
 }
 
 impl<'a> Lexer<'a> {
@@ -58,6 +62,7 @@ impl<'a> Lexer<'a> {
             pos: 0,
             line: 1,
             line_start: 0,
+            token_start: (1, 1),
         }
     }
 
@@ -69,6 +74,11 @@ impl<'a> Lexer<'a> {
     /// Current 1-based column.
     pub fn column(&self) -> u32 {
         (self.pos - self.line_start) as u32 + 1
+    }
+
+    /// 1-based line and column where the last token produced begins.
+    pub fn token_start(&self) -> (u32, u32) {
+        self.token_start
     }
 
     fn error(&self, kind: ParseErrorKind) -> ParseError {
@@ -102,6 +112,7 @@ impl<'a> Lexer<'a> {
     /// Produces the next token.
     pub fn next_token(&mut self) -> Result<Token<'a>, ParseError> {
         self.skip_trivia();
+        self.token_start = (self.line, self.column());
         if self.pos >= self.src.len() {
             return Ok(Token::Eof);
         }

@@ -8,6 +8,16 @@
 //!
 //! Parsing speed matters: `t-parse` is one of the time parameters the paper
 //! reports for rule sets of up to one million TGDs (§7).
+//!
+//! What a parse allocates: the lexer nothing; the parser one set of
+//! buffers per call (variable map, atom vector, argument buffer), reused
+//! for every statement; and per rule only what its [`soct_model::Tgd`]
+//! keeps — the atom slice and one argument tuple per atom, each at exact
+//! length, and the frontier/existential slice. A single-head
+//! simple-linear rule costs four allocations (and one shrinking
+//! reallocation when its head repeats a variable); new predicates and
+//! constants add their schema and interner entries.
+//! `tests/parse_allocs.rs` gates the count.
 
 pub mod error;
 pub mod lexer;

@@ -56,83 +56,92 @@ pub fn parse_into(
     tgds: &mut Vec<Tgd>,
     database: &mut Database,
 ) -> Result<(), ParseError> {
-    let mut parser = Parser {
-        lexer: Lexer::new(text),
-        lookahead: None,
-        schema,
-        consts,
-    };
-    loop {
-        if parser.peek()? == Token::Eof {
-            return Ok(());
-        }
-        parser.statement(tgds, database)?;
-    }
+    Parser::new(text, schema, consts, Admit::Any).run(tgds, database)
 }
 
-/// Parses a set of TGDs only; facts are rejected.
+/// Parses a set of TGDs only; a fact is an error at its first token.
 pub fn parse_tgds(
     text: &str,
     schema: &mut Schema,
     consts: &mut Interner,
 ) -> Result<Vec<Tgd>, ParseError> {
     let mut tgds = Vec::new();
-    let mut db = Database::new();
-    parse_into(text, schema, consts, &mut tgds, &mut db)?;
-    if !db.is_empty() {
-        return Err(ParseError::new(
-            0,
-            0,
-            ParseErrorKind::Expected {
-                expected: "rules only",
-                found: "a fact".to_string(),
-            },
-        ));
-    }
+    Parser::new(text, schema, consts, Admit::RulesOnly).run(&mut tgds, &mut Database::new())?;
     Ok(tgds)
 }
 
-/// Parses a database of facts only; rules are rejected.
+/// Parses a database of facts only; a rule is an error at its first token.
 pub fn parse_facts(
     text: &str,
     schema: &mut Schema,
     consts: &mut Interner,
 ) -> Result<Database, ParseError> {
-    let mut tgds = Vec::new();
     let mut db = Database::new();
-    parse_into(text, schema, consts, &mut tgds, &mut db)?;
-    if !tgds.is_empty() {
-        return Err(ParseError::new(
-            0,
-            0,
-            ParseErrorKind::Expected {
-                expected: "facts only",
-                found: "a rule".to_string(),
-            },
-        ));
-    }
+    Parser::new(text, schema, consts, Admit::FactsOnly).run(&mut Vec::new(), &mut db)?;
     Ok(db)
 }
 
+/// Which statements a parse admits.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Admit {
+    Any,
+    RulesOnly,
+    FactsOnly,
+}
+
+/// A statement of a kind the parse does not admit, reported at its first
+/// token.
+fn wrong_kind(line: u32, column: u32, expected: &'static str, found: &str) -> ParseError {
+    ParseError::new(
+        line,
+        column,
+        ParseErrorKind::Expected {
+            expected,
+            found: found.to_string(),
+        },
+    )
+}
+
+/// The parser state. Every buffer lives for the whole parse and is reused
+/// per statement, so a rule allocates only what its [`Tgd`] keeps.
 struct Parser<'a, 'v> {
     lexer: Lexer<'a>,
     lookahead: Option<Token<'a>>,
     schema: &'v mut Schema,
     consts: &'v mut Interner,
+    admit: Admit,
+    /// Variable name → dense id, scoped to the current statement.
+    vars: FxHashMap<&'a str, u32>,
+    /// The current statement's atoms, in source order.
+    atoms: Vec<Atom>,
+    /// The arguments of the atom being parsed.
+    args: Vec<Term>,
+    /// Old → new variable id while renumbering a `:-` rule.
+    remap: Vec<u32>,
 }
 
-/// A pre-validation atom: terms may still be raw variable names.
-struct RawAtom {
-    pred: soct_model::PredId,
-    terms: Vec<RawTerm>,
-}
+impl<'a, 'v> Parser<'a, 'v> {
+    fn new(text: &'a str, schema: &'v mut Schema, consts: &'v mut Interner, admit: Admit) -> Self {
+        Parser {
+            lexer: Lexer::new(text),
+            lookahead: None,
+            schema,
+            consts,
+            admit,
+            vars: FxHashMap::default(),
+            atoms: Vec::new(),
+            args: Vec::new(),
+            remap: Vec::new(),
+        }
+    }
 
-enum RawTerm {
-    Var(u32),
-    Const(ConstId),
-}
+    fn run(mut self, tgds: &mut Vec<Tgd>, db: &mut Database) -> Result<(), ParseError> {
+        while self.peek()? != Token::Eof {
+            self.statement(tgds, db)?;
+        }
+        Ok(())
+    }
 
-impl<'a> Parser<'a, '_> {
     fn peek(&mut self) -> Result<Token<'a>, ParseError> {
         if self.lookahead.is_none() {
             self.lookahead = Some(self.lexer.next_token()?);
@@ -176,99 +185,105 @@ impl<'a> Parser<'a, '_> {
     }
 
     /// Parses one statement (rule or fact) into the output collections.
+    /// Called with the statement's first token in the lookahead.
     fn statement(&mut self, tgds: &mut Vec<Tgd>, db: &mut Database) -> Result<(), ParseError> {
-        // Variables are scoped per statement: name → dense id.
-        let mut vars: FxHashMap<&'a str, u32> = FxHashMap::default();
-        let first = self.conjunction(&mut vars)?;
+        let (line, column) = self.lexer.token_start();
+        self.vars.clear();
+        self.atoms.clear();
+        self.conjunction()?;
+        let first = self.atoms.len();
         match self.advance()? {
+            Token::Period if self.admit == Admit::RulesOnly => {
+                Err(wrong_kind(line, column, "rules only", "a fact"))
+            }
+            Token::Arrow | Token::ColonDash if self.admit == Admit::FactsOnly => {
+                Err(wrong_kind(line, column, "facts only", "a rule"))
+            }
             Token::Period => {
-                // A conjunction of facts.
-                for atom in first {
-                    db.insert(self.ground(atom)?);
+                // A conjunction of facts: the parser only makes constants
+                // and variables, so a fact is an atom of constants.
+                let ground = self.atoms.iter().take_while(|a| a.is_fact()).count();
+                for atom in self.atoms.drain(..ground) {
+                    db.insert(atom);
                 }
-                Ok(())
+                if self.atoms.is_empty() {
+                    Ok(())
+                } else {
+                    Err(self.model_err(soct_model::ModelError::VariableInFact))
+                }
             }
             Token::Arrow => {
-                let head = self.conjunction(&mut vars)?;
+                self.conjunction()?;
                 self.expect(Token::Period, "`.`")?;
-                tgds.push(self.rule(first, head)?);
-                Ok(())
+                self.rule(first, tgds)
             }
             Token::ColonDash => {
-                let body = self.conjunction(&mut vars)?;
+                self.conjunction()?;
                 self.expect(Token::Period, "`.`")?;
-                tgds.push(self.rule(body, first)?);
-                Ok(())
+                // `head :- body`: move the body in front and number the
+                // variables body-first, exactly as the `->` spelling would.
+                self.atoms.rotate_left(first);
+                self.renumber();
+                self.rule(self.atoms.len() - first, tgds)
             }
             other => Err(self.error("`.`, `->` or `:-`", other)),
         }
     }
 
-    fn rule(&self, body: Vec<RawAtom>, head: Vec<RawAtom>) -> Result<Tgd, ParseError> {
-        let lift = |atoms: Vec<RawAtom>| -> Vec<Atom> {
-            atoms
-                .into_iter()
-                .map(|a| {
-                    Atom::new_unchecked(
-                        a.pred,
-                        a.terms
-                            .into_iter()
-                            .map(|t| match t {
-                                RawTerm::Var(v) => Term::Var(VarId(v)),
-                                RawTerm::Const(c) => Term::Const(c),
-                            })
-                            .collect(),
-                    )
-                })
-                .collect()
-        };
-        Tgd::new(lift(body), lift(head)).map_err(|e| self.model_err(e))
+    /// Moves the statement's atoms, `body ++ head`, into a [`Tgd`].
+    fn rule(&mut self, body_len: usize, tgds: &mut Vec<Tgd>) -> Result<(), ParseError> {
+        // Collecting a drain allocates exactly `len`, so the TGD keeps
+        // the block without a shrinking reallocation.
+        let atoms = self.atoms.drain(..).collect();
+        tgds.push(Tgd::from_atoms(atoms, body_len).map_err(|e| self.model_err(e))?);
+        Ok(())
     }
 
-    fn ground(&self, atom: RawAtom) -> Result<Atom, ParseError> {
-        let mut terms = Vec::with_capacity(atom.terms.len());
-        for t in atom.terms {
-            match t {
-                RawTerm::Const(c) => terms.push(Term::Const(c)),
-                RawTerm::Var(_) => {
-                    return Err(self.model_err(soct_model::ModelError::VariableInFact))
+    /// Renumbers the statement's variables in first-occurrence order.
+    fn renumber(&mut self) {
+        self.remap.clear();
+        self.remap.resize(self.vars.len(), u32::MAX);
+        let mut next = 0;
+        for t in self.atoms.iter_mut().flat_map(|a| a.terms.iter_mut()) {
+            if let Term::Var(v) = t {
+                let id = &mut self.remap[v.index()];
+                if *id == u32::MAX {
+                    *id = next;
+                    next += 1;
                 }
+                *v = VarId(*id);
             }
         }
-        Ok(Atom::new_unchecked(atom.pred, terms))
     }
 
-    fn conjunction(
-        &mut self,
-        vars: &mut FxHashMap<&'a str, u32>,
-    ) -> Result<Vec<RawAtom>, ParseError> {
-        let mut atoms = vec![self.atom(vars)?];
+    fn conjunction(&mut self) -> Result<(), ParseError> {
+        self.atom()?;
         while self.peek()? == Token::Comma {
             self.advance()?;
-            atoms.push(self.atom(vars)?);
+            self.atom()?;
         }
-        Ok(atoms)
+        Ok(())
     }
 
-    fn atom(&mut self, vars: &mut FxHashMap<&'a str, u32>) -> Result<RawAtom, ParseError> {
+    fn atom(&mut self) -> Result<(), ParseError> {
         let name = match self.advance()? {
             Token::Ident(s) => s,
             other => return Err(self.error("a predicate name", other)),
         };
         self.expect(Token::LParen, "`(`")?;
-        let mut terms = Vec::new();
+        self.args.clear();
         loop {
-            let t = self.advance()?;
-            let term = match t {
+            let term = match self.advance()? {
                 Token::Ident(s) if is_variable_name(s) => {
-                    let next = vars.len() as u32;
-                    RawTerm::Var(*vars.entry(s).or_insert(next))
+                    let next = self.vars.len() as u32;
+                    Term::Var(VarId(*self.vars.entry(s).or_insert(next)))
                 }
-                Token::Ident(s) => RawTerm::Const(ConstId::from_symbol(self.consts.intern(s))),
-                Token::Quoted(s) => RawTerm::Const(ConstId::from_symbol(self.consts.intern(s))),
+                Token::Ident(s) | Token::Quoted(s) => {
+                    Term::Const(ConstId::from_symbol(self.consts.intern(s)))
+                }
                 other => return Err(self.error("a term", other)),
             };
-            terms.push(term);
+            self.args.push(term);
             match self.advance()? {
                 Token::Comma => continue,
                 Token::RParen => break,
@@ -277,9 +292,13 @@ impl<'a> Parser<'a, '_> {
         }
         let pred = self
             .schema
-            .add_predicate(name, terms.len())
+            .add_predicate(name, self.args.len())
             .map_err(|e| self.model_err(e))?;
-        Ok(RawAtom { pred, terms })
+        self.atoms.push(Atom {
+            pred,
+            terms: self.args.as_slice().into(),
+        });
+        Ok(())
     }
 }
 
@@ -370,6 +389,72 @@ mod tests {
         assert_eq!(
             parse_facts("r(a). r(b).", &mut s3, &mut c3).unwrap().len(),
             2
+        );
+    }
+
+    #[test]
+    fn parse_tgds_reports_the_first_fact_where_it_starts() {
+        let (mut s, mut c) = (Schema::new(), Interner::new());
+        let err = parse_tgds("r(X) -> s(X).\n  r(a).\nt(b).", &mut s, &mut c).unwrap_err();
+        assert_eq!((err.line, err.column), (2, 3), "{err}");
+        assert!(err
+            .to_string()
+            .contains("expected rules only, found `a fact`"));
+    }
+
+    #[test]
+    fn parse_facts_reports_the_first_rule_where_it_starts() {
+        let (mut s, mut c) = (Schema::new(), Interner::new());
+        let text = "r(a). r(b).\nr(a).   s(Y) :- r(Y).\nr(X) -> s(X).";
+        let err = parse_facts(text, &mut s, &mut c).unwrap_err();
+        assert_eq!((err.line, err.column), (2, 9), "{err}");
+        assert!(err
+            .to_string()
+            .contains("expected facts only, found `a rule`"));
+    }
+
+    #[test]
+    fn both_orientations_yield_equal_tgds() {
+        // One vocabulary, so both spellings see the same predicate ids.
+        let (mut s, mut c) = (Schema::new(), Interner::new());
+        for (arrow, datalog) in [
+            ("r(X, Y) -> s(Y, Z).", "s(Y, Z) :- r(X, Y)."),
+            (
+                "r(X, Y), t(Y, W) -> s(W, Z), u(Z, X).",
+                "s(W, Z), u(Z, X) :- r(X, Y), t(Y, W).",
+            ),
+            ("r(X, X) -> s(Z, Z).", "s(Z, Z) :- r(X, X)."),
+        ] {
+            let a = parse_tgds(arrow, &mut s, &mut c).unwrap();
+            let b = parse_tgds(datalog, &mut s, &mut c).unwrap();
+            assert_eq!(a, b, "{arrow} vs {datalog}");
+        }
+    }
+
+    #[test]
+    fn a_statement_with_ten_thousand_variables() {
+        // Body: 5000 atoms b(Xi, Xi+5000), numbered Xi ↦ 2i and
+        // Xi+5000 ↦ 2i+1 in first-occurrence order; head: 5000 atoms
+        // h(Xi, Yi) with Yi ↦ 10000+i — 5000 frontier, 5000 existential.
+        let n = 5000u32;
+        let body: Vec<String> = (0..n).map(|i| format!("b(X{i}, X{})", i + n)).collect();
+        let head: Vec<String> = (0..n).map(|i| format!("h(X{i}, Y{i})")).collect();
+        let text = format!("{} -> {}.", body.join(", "), head.join(", "));
+        let p = Program::parse(&text).unwrap();
+        let tgd = &p.tgds[0];
+        assert_eq!(
+            (tgd.body().len(), tgd.head().len()),
+            (n as usize, n as usize)
+        );
+        assert_eq!(tgd.body_variables().len(), 2 * n as usize);
+        let ids = |it: std::ops::Range<u32>, f: fn(u32) -> u32| {
+            it.map(|i| VarId(f(i))).collect::<Vec<_>>()
+        };
+        assert_eq!(tgd.frontier(), ids(0..n, |i| 2 * i));
+        assert_eq!(tgd.existential(), ids(2 * n..3 * n, |i| i));
+        assert_eq!(
+            tgd.head()[7].terms[..],
+            [Term::Var(VarId(14)), Term::Var(VarId(2 * n + 7))]
         );
     }
 

@@ -11,7 +11,7 @@ use soct_core::{
 use soct_model::{
     Atom, ConstId, Database, FxHashMap, Interner, PredId, Schema, SymbolId, Term, Tgd, TgdClass,
 };
-use soct_obs::PromText;
+use soct_obs::{Phases, PromText};
 use soct_parser::{parse_facts, Program};
 use soct_storage::{
     InstanceSource, RealIo, RecoveryReport, StorageEngine, SyncPolicy, TupleSource, Wal, WalEntry,
@@ -482,7 +482,9 @@ impl TerminationService {
     /// *clone* of the live schema, so rule-only predicates intern freely
     /// without mutating the shared vocabulary — a predicate with no table
     /// is simply an empty relation. Body checks never take the live-db
-    /// lock.
+    /// lock. Either parse runs as the `parse` phase of
+    /// `soct_core_phase_us` (for a body without facts, the phase includes
+    /// building its critical instance).
     fn check(&self, body: &str, query: &FxHashMap<String, String>) -> ServiceResult {
         let live = match query.get("db").map(String::as_str) {
             None => None,
@@ -490,9 +492,10 @@ impl TerminationService {
             Some(other) => return Err((400, format!("db expects `live`, got `{other}`"))),
         };
         let (guard, body_db);
+        let mut phases = Phases::new();
         let (schema, tgds, db, db_atoms): (Schema, Vec<Tgd>, &dyn DbView, u64) = match live {
             None => {
-                let p = parse_program(body)?;
+                let p = phases.run("parse", || parse_program(body))?;
                 body_db = p.db;
                 (p.schema, p.tgds, &body_db, body_db.len() as u64)
             }
@@ -500,7 +503,10 @@ impl TerminationService {
                 guard = live.read().expect("live db poisoned");
                 let mut schema = guard.schema.clone();
                 let mut consts = guard.consts.clone();
-                let tgds = soct_parser::parse_tgds(body, &mut schema, &mut consts)
+                let tgds = phases
+                    .run("parse", || {
+                        soct_parser::parse_tgds(body, &mut schema, &mut consts)
+                    })
                     .map_err(|e| (400, e.to_string()))?;
                 (schema, tgds, &guard.engine, guard.engine.total_rows())
             }

@@ -267,3 +267,30 @@ fn request_histogram_agrees_with_stats() {
     assert!(exp.series["soct_serve_request_us_sum{endpoint=\"check\"}"] >= 0.0);
     handle.shutdown();
 }
+
+#[test]
+fn check_parses_under_the_parse_phase() {
+    let facts = std::env::temp_dir().join("soct_metrics_parse_phase.facts");
+    std::fs::write(&facts, "r(a, b).\n").unwrap();
+    let (handle, client) = start_server(ServiceConfig {
+        db_path: Some(facts),
+        ..ServiceConfig::default()
+    });
+    const SERIES: &str = "soct_core_phase_us_count{phase=\"parse\"}";
+    let parses = || {
+        let exp = parse_and_lint(&client.get("/metrics").unwrap().body);
+        exp.series.get(SERIES).copied().unwrap_or(0.0)
+    };
+    // The phase histogram is process-global, so other tests may add to
+    // it concurrently: each check must move it by at least one.
+    for path in ["/check", "/check?db=live"] {
+        let before = parses();
+        assert!(client.post(path, FINITE_SL_RULES).unwrap().is_ok());
+        let after = parses();
+        assert!(
+            after >= before + 1.0,
+            "{path}: {SERIES} {before} -> {after}"
+        );
+    }
+    handle.shutdown();
+}
