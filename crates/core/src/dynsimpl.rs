@@ -10,10 +10,13 @@
 //! iteration — "there are no new applicable TGDs on S after the first
 //! iteration since the TGDs are linear" (§4.2).
 //!
-//! The implementation details of §5.4 are in place: a predicate → TGDs
-//! index for fast access, per-TGD precomputed body patterns for the O(arity)
-//! applicability check, and shape interning so identifier tuples are built
-//! once.
+//! Of the implementation details of §5.4, two are in place: a predicate →
+//! TGDs index for fast access, and shape interning so identifier tuples
+//! are built once. Body patterns are *not* precomputed per TGD: each
+//! applicability check (`h_specialization`) derives the body's id pattern
+//! with `Rgs::of_terms` and compares it against the shape in O(arity).
+//! Interned shape predicates are unnamed entries of the derived schema, so interning
+//! a shape costs one hash-map insert and no string work.
 //!
 //! The fixpoint itself runs over *interned shape ids*: the
 //! [`ShapeInterner`]'s dense id sequence doubles as the seen-set and the

@@ -91,17 +91,7 @@ impl Schema {
     /// [`MAX_ARITY`] (the fixed row-buffer width of the storage and chase
     /// layers).
     pub fn add_predicate(&mut self, name: &str, arity: usize) -> Result<PredId, ModelError> {
-        if arity == 0 {
-            return Err(ModelError::ZeroArity {
-                predicate: name.to_string(),
-            });
-        }
-        if arity > MAX_ARITY {
-            return Err(ModelError::ArityTooLarge {
-                predicate: name.to_string(),
-                arity,
-            });
-        }
+        check_arity(name, arity)?;
         if let Some(&id) = self.by_name.get(name) {
             let existing = self.preds[id.index()].arity as usize;
             if existing != arity {
@@ -113,16 +103,36 @@ impl Schema {
             }
             return Ok(id);
         }
-        let id = PredId(self.preds.len() as u32);
         let boxed: Box<str> = name.into();
-        self.by_name.insert(boxed.clone(), id);
+        let id = self.push(boxed.clone(), arity);
+        self.by_name.insert(boxed, id);
+        Ok(id)
+    }
+
+    /// Adds a fresh predicate of `arity` with no name: it is not entered
+    /// in the name index, so [`Schema::pred_by_name`] never finds it and
+    /// [`Schema::name`] returns `""`. Derived schemas whose predicates are
+    /// identified by something other than a name (the shape predicates of
+    /// `simplify::ShapeInterner`) use this to skip building, hashing and
+    /// storing a name per predicate.
+    ///
+    /// Returns the same arity errors as [`Schema::add_predicate`].
+    pub fn add_unnamed(&mut self, arity: usize) -> Result<PredId, ModelError> {
+        check_arity("", arity)?;
+        Ok(self.push(Box::default(), arity))
+    }
+
+    /// Appends a predicate entry and its positions; the name index is the
+    /// caller's business.
+    fn push(&mut self, name: Box<str>, arity: usize) -> PredId {
+        let id = PredId(self.preds.len() as u32);
         self.offsets.push(self.total_positions);
         self.total_positions += arity as u32;
         self.preds.push(PredInfo {
-            name: boxed,
+            name,
             arity: arity as u16,
         });
-        Ok(id)
+        id
     }
 
     /// Looks up a predicate by name.
@@ -130,7 +140,8 @@ impl Schema {
         self.by_name.get(name).copied()
     }
 
-    /// The name of a predicate.
+    /// The name of a predicate (`""` for one added by
+    /// [`Schema::add_unnamed`]).
     pub fn name(&self, p: PredId) -> &str {
         &self.preds[p.index()].name
     }
@@ -201,6 +212,23 @@ impl Schema {
     }
 }
 
+/// The arity contract of every declaration: positive (the paper assumes
+/// `n > 0`) and at most [`MAX_ARITY`].
+fn check_arity(name: &str, arity: usize) -> Result<(), ModelError> {
+    if arity == 0 {
+        return Err(ModelError::ZeroArity {
+            predicate: name.to_string(),
+        });
+    }
+    if arity > MAX_ARITY {
+        return Err(ModelError::ArityTooLarge {
+            predicate: name.to_string(),
+            arity,
+        });
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -251,6 +279,31 @@ mod tests {
         assert!(err.unwrap_err().to_string().contains("64"));
         // Declaration is all-or-nothing: the rejected name is not interned.
         assert_eq!(s.pred_by_name("wider"), None);
+    }
+
+    #[test]
+    fn unnamed_predicates_number_positions_but_skip_the_name_index() {
+        let mut s = Schema::new();
+        let r = s.add_predicate("r", 2).unwrap();
+        let u = s.add_unnamed(3).unwrap();
+        let t = s.add_predicate("t", 1).unwrap();
+        assert_eq!(s.len(), 3);
+        assert_eq!(s.arity(u), 3);
+        assert_eq!(s.name(u), "");
+        assert_eq!(s.pred_by_name(""), None);
+        assert_eq!(s.pred_by_name("t"), Some(t));
+        assert_eq!(s.position_index(Position::new(u, 0)), 2);
+        assert_eq!(s.position_index(Position::new(t, 0)), 5);
+        assert_ne!(r, u);
+        assert!(matches!(
+            s.add_unnamed(0),
+            Err(ModelError::ZeroArity { .. })
+        ));
+        assert!(matches!(
+            s.add_unnamed(MAX_ARITY + 1),
+            Err(ModelError::ArityTooLarge { .. })
+        ));
+        assert_eq!(s.len(), 3, "rejected arities add nothing");
     }
 
     #[test]

@@ -18,11 +18,14 @@ use crate::schema::{PredId, Schema};
 use crate::shape::{Rgs, Shape};
 use crate::term::{Term, VarId};
 use crate::tgd::Tgd;
+use std::collections::hash_map::Entry;
 
 /// Interner of shape predicates `R_{id(t̄)}` into a derived [`Schema`].
 ///
 /// The derived schema is disjoint from the base schema; a shape with `k`
-/// blocks becomes a predicate of arity `k` named `R#i1_i2_…`.
+/// blocks becomes an unnamed predicate of arity `k` ([`Schema::add_unnamed`]),
+/// identified by its [`ShapeInterner::origin`]. Interning builds no name:
+/// [`ShapeInterner::name`] renders the `R#i1_i2_…` spelling on demand.
 #[derive(Default, Clone, Debug)]
 pub struct ShapeInterner {
     schema: Schema,
@@ -36,28 +39,43 @@ impl ShapeInterner {
         Self::default()
     }
 
-    /// Interns a shape, returning its predicate in the derived schema.
+    /// Interns a shape of a `base` predicate, returning its predicate in
+    /// the derived schema.
     pub fn intern(&mut self, shape: Shape, base: &Schema) -> PredId {
-        if let Some(&p) = self.map.get(&shape) {
-            return p;
+        debug_assert_eq!(
+            shape.rgs.len(),
+            base.arity(shape.pred),
+            "shape of a base predicate"
+        );
+        match self.map.entry(shape) {
+            Entry::Occupied(e) => *e.get(),
+            Entry::Vacant(e) => {
+                let p = self
+                    .schema
+                    .add_unnamed(e.key().simple_arity())
+                    .expect("a shape has between 1 and MAX_ARITY blocks");
+                self.origins.push(e.key().clone());
+                e.insert(p);
+                p
+            }
         }
+    }
+
+    /// The name of derived predicate `p`: its origin's `base` predicate
+    /// name, `#`, and the shape's ids joined by `_` (`R#1_1_2`).
+    pub fn name(&self, p: PredId, base: &Schema) -> String {
+        use std::fmt::Write as _;
+        let shape = self.origin(p);
         let mut name = String::with_capacity(16);
         name.push_str(base.name(shape.pred));
         name.push('#');
-        for (i, id) in shape.rgs.ids().iter().enumerate() {
+        for (i, id) in shape.rgs.iter_ids().enumerate() {
             if i > 0 {
                 name.push('_');
             }
-            name.push_str(&id.to_string());
+            let _ = write!(name, "{id}");
         }
-        let arity = shape.simple_arity();
-        let p = self
-            .schema
-            .add_predicate(&name, arity)
-            .expect("derived shape predicate is fresh and has positive arity");
-        self.map.insert(shape.clone(), p);
-        self.origins.push(shape);
-        p
+        name
     }
 
     /// Looks up an already-interned shape.
@@ -286,7 +304,7 @@ mod tests {
         let s = simplify_atom(&mut it, &base, &a);
         assert_eq!(it.schema().arity(s.pred), 2);
         assert_eq!(&*s.terms, &[c(5), c(7)]);
-        assert_eq!(it.schema().name(s.pred), "r#1_1_2");
+        assert_eq!(it.name(s.pred, &base), "r#1_1_2");
         // Same shape interns to the same predicate.
         let b = Atom::new(&base, r, vec![c(1), c(1), c(9)]).unwrap();
         let sb = simplify_atom(&mut it, &base, &b);
@@ -393,8 +411,8 @@ mod tests {
         let all = simplify_tgd_all(&mut it, &base, &tgd).unwrap();
         assert_eq!(all.len(), 1);
         let s = &all[0];
-        assert_eq!(it.schema().name(s.body()[0].pred), "R#1_1");
-        assert_eq!(it.schema().name(s.head()[0].pred), "R#1_2");
+        assert_eq!(it.name(s.body()[0].pred, &base), "R#1_1");
+        assert_eq!(it.name(s.head()[0].pred, &base), "R#1_2");
     }
 
     #[test]

@@ -200,7 +200,14 @@ mod tests {
                 std::thread::sleep(std::time::Duration::from_millis(1));
             }
         }
-        let records = session.finish();
+        // Spans other test threads open while the session is live land in
+        // it too (sessions are process-global); keep this thread's own.
+        let me = thread_id();
+        let records: Vec<SpanRecord> = session
+            .finish()
+            .into_iter()
+            .filter(|r| r.tid == me)
+            .collect();
         let names: Vec<&str> = records.iter().map(|r| r.name).collect();
         // Completion order: inner closes first.
         assert_eq!(names, vec!["inner", "outer"]);
@@ -219,12 +226,17 @@ mod tests {
 
     #[test]
     fn finish_uninstalls_the_collector() {
+        // As above, only this thread's records are this test's.
+        let me = thread_id();
+        let own = |records: Vec<SpanRecord>| -> Vec<SpanRecord> {
+            records.into_iter().filter(|r| r.tid == me).collect()
+        };
         let session = TraceSession::start();
         drop(span("a"));
-        let first = session.finish();
+        let first = own(session.finish());
         assert_eq!(first.len(), 1);
         let session = TraceSession::start();
-        let empty = session.finish();
+        let empty = own(session.finish());
         assert!(empty.is_empty(), "records do not leak across sessions");
     }
 

@@ -20,7 +20,6 @@ use crate::shape_catalog::ShapeCatalog;
 use crate::table::Table;
 use soct_model::fingerprint::{predicate_element_hash, shape_element_hash, SetFingerprint};
 use soct_model::{Fingerprint, Instance, PredId, Rgs, Term, MAX_ARITY};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Row-level access used by the termination checkers and generators.
 pub trait TupleSource {
@@ -59,8 +58,6 @@ struct LiveFingerprints {
 #[derive(Debug, Default)]
 pub struct StorageEngine {
     tables: Vec<Option<Table>>,
-    /// EXISTS queries answered (the `abl-apriori` ablation metric).
-    exists_queries: AtomicU64,
     /// Optional incrementally-maintained shape catalog (§10 future work);
     /// enabled with [`StorageEngine::enable_shape_tracking`]. Invariant:
     /// `Some` iff `live_fp` is `Some`.
@@ -280,11 +277,6 @@ impl StorageEngine {
         }
     }
 
-    /// Number of EXISTS queries served so far.
-    pub fn exists_query_count(&self) -> u64 {
-        self.exists_queries.load(Ordering::Relaxed)
-    }
-
     /// All created tables with their predicates.
     pub fn tables(&self) -> impl Iterator<Item = (PredId, &Table)> {
         self.tables
@@ -339,7 +331,6 @@ impl TupleSource for StorageEngine {
     }
 
     fn exists_where(&self, pred: PredId, conds: &[ColumnCondition]) -> bool {
-        self.exists_queries.fetch_add(1, Ordering::Relaxed);
         self.table(pred)
             .is_some_and(|t| query::exists(t, conds, u64::MAX))
     }
@@ -436,13 +427,12 @@ mod tests {
     }
 
     #[test]
-    fn exists_queries_are_counted() {
+    fn exists_where_answers_eq_and_ne() {
         let mut e = StorageEngine::new();
         e.create_table(PredId(0), "r", 2);
         e.insert(PredId(0), &[c(1), c(1)]);
         assert!(e.exists_where(PredId(0), &[ColumnCondition::Eq(0, 1)]));
         assert!(!e.exists_where(PredId(0), &[ColumnCondition::Ne(0, 1)]));
-        assert_eq!(e.exists_query_count(), 2);
     }
 
     #[test]

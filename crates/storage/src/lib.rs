@@ -1,8 +1,8 @@
 //! # soct-storage
 //!
 //! The embedded relational storage engine standing in for the PostgreSQL
-//! instance of the paper's testbed (§6, §9): paged fixed-width tables over
-//! `bytes` buffers, a catalog answering the non-empty-relations query
+//! instance of the paper's testbed (§6, §9): paged fixed-width tables of
+//! packed-term words, a catalog answering the non-empty-relations query
 //! without touching data (§5.3), early-exit EXISTS queries with
 //! equality/disequality column conditions, Apriori-pruned shape discovery
 //! over the partition lattice (§5.4), first-k-rows views (the `D^s_Σ`

@@ -3,130 +3,123 @@
 //! The storage engine plays the role PostgreSQL plays in the paper (§6, §9):
 //! it holds the generated databases and answers the three queries the
 //! termination algorithms need (catalog listing, shape EXISTS queries, full
-//! scans). Rows are tuples of packed terms ([`soct_model::Term::pack`]), so
-//! a row is `arity × 8` bytes; pages are 8 KiB buffers allocated with
-//! [`bytes::BytesMut`], giving scans good locality without pointer chasing.
-
-use bytes::{BufMut, BytesMut};
+//! scans). Rows are tuples of packed terms ([`soct_model::Term::pack`]).
+//!
+//! A page stores its rows row-major in one `Vec<u64>` of at most
+//! [`PAGE_SIZE`] bytes, allocated once at full capacity: row `i` is
+//! `words[i * arity .. (i + 1) * arity]`. Scans borrow those slices
+//! directly ([`Page::row`], [`Page::rows`]), so a scan never copies or
+//! decodes a row. Only persistence sees bytes: [`Page::write_le`] and
+//! [`Page::from_le_bytes`] convert to and from the little-endian image
+//! the `persist` format has always stored.
 
 /// Page capacity in bytes.
 pub const PAGE_SIZE: usize = 8192;
 
-/// One page: a byte buffer holding complete rows of a single table.
+/// One page: complete rows of a single table, as packed-term words.
 #[derive(Debug, Clone)]
 pub struct Page {
-    buf: BytesMut,
-    rows: u32,
-    row_width: usize,
+    words: Vec<u64>,
+    arity: usize,
 }
 
 impl Page {
     /// Creates an empty page for rows of `arity` columns.
     pub fn new(arity: usize) -> Self {
-        let row_width = arity * 8;
-        assert!(
-            row_width > 0 && row_width <= PAGE_SIZE,
-            "arity out of range"
-        );
+        assert!(arity > 0 && arity * 8 <= PAGE_SIZE, "arity out of range");
         Page {
-            buf: BytesMut::with_capacity(PAGE_SIZE - PAGE_SIZE % row_width),
-            rows: 0,
-            row_width,
+            words: Vec::with_capacity(Self::capacity_words(arity)),
+            arity,
         }
+    }
+
+    /// Words a full page of `arity`-column rows holds.
+    fn capacity_words(arity: usize) -> usize {
+        PAGE_SIZE / (arity * 8) * arity
     }
 
     /// Rows a page of this row width can hold.
     #[inline]
     pub fn capacity_rows(&self) -> usize {
-        PAGE_SIZE / self.row_width
+        PAGE_SIZE / (self.arity * 8)
     }
 
     /// Rows currently stored.
     #[inline]
     pub fn len(&self) -> usize {
-        self.rows as usize
+        self.words.len() / self.arity
     }
 
     /// True when no row fits anymore.
     #[inline]
     pub fn is_full(&self) -> bool {
-        self.len() == self.capacity_rows()
+        self.words.len() >= Self::capacity_words(self.arity)
     }
 
     /// True when empty.
     pub fn is_empty(&self) -> bool {
-        self.rows == 0
+        self.words.is_empty()
     }
 
     /// Appends a row of packed terms. Panics if full or width mismatch.
     pub fn push_row(&mut self, row: &[u64]) {
         assert!(!self.is_full(), "page overflow");
-        assert_eq!(row.len() * 8, self.row_width, "row width mismatch");
-        for &v in row {
-            self.buf.put_u64_le(v);
-        }
-        self.rows += 1;
+        assert_eq!(row.len(), self.arity, "row width mismatch");
+        self.words.extend_from_slice(row);
     }
 
-    /// Decodes row `i` into `out` (length = arity).
+    /// Row `i`, borrowed from the page.
     #[inline]
-    pub fn read_row(&self, i: usize, out: &mut [u64]) {
-        debug_assert!(i < self.len());
-        debug_assert_eq!(out.len() * 8, self.row_width);
-        let base = i * self.row_width;
-        let bytes = &self.buf[base..base + self.row_width];
-        for (j, chunk) in bytes.chunks_exact(8).enumerate() {
-            out[j] = u64::from_le_bytes(chunk.try_into().unwrap());
-        }
+    pub fn row(&self, i: usize) -> &[u64] {
+        &self.words[i * self.arity..(i + 1) * self.arity]
     }
 
-    /// Visits every row with a reusable decode buffer; stops early when the
-    /// callback returns `false`. Returns `false` on early exit.
-    pub fn for_each_row(&self, scratch: &mut [u64], f: &mut dyn FnMut(&[u64]) -> bool) -> bool {
-        for i in 0..self.len() {
-            self.read_row(i, scratch);
-            if !f(scratch) {
-                return false;
-            }
-        }
-        true
+    /// The stored rows in order, borrowed from the page.
+    #[inline]
+    pub fn rows(&self) -> std::slice::ChunksExact<'_, u64> {
+        self.words.chunks_exact(self.arity)
     }
 
     /// Overwrites row `i` in place (same width). Panics on out-of-range.
     pub fn overwrite_row(&mut self, i: usize, row: &[u64]) {
         assert!(i < self.len(), "row index out of range");
-        assert_eq!(row.len() * 8, self.row_width, "row width mismatch");
-        let base = i * self.row_width;
-        for (j, &v) in row.iter().enumerate() {
-            let at = base + j * 8;
-            self.buf[at..at + 8].copy_from_slice(&v.to_le_bytes());
-        }
+        assert_eq!(row.len(), self.arity, "row width mismatch");
+        self.words[i * self.arity..(i + 1) * self.arity].copy_from_slice(row);
     }
 
     /// Removes the last row (the O(1) half of a table-level swap-remove).
     /// Panics if empty.
     pub fn pop_row(&mut self) {
         assert!(!self.is_empty(), "pop from empty page");
-        self.rows -= 1;
-        self.buf.truncate(self.rows as usize * self.row_width);
+        self.words.truncate(self.words.len() - self.arity);
     }
 
-    /// Raw page bytes (for persistence).
-    pub fn bytes(&self) -> &[u8] {
-        &self.buf
+    /// Size of the page's persisted image in bytes.
+    pub fn byte_len(&self) -> usize {
+        self.words.len() * 8
     }
 
-    /// Rebuilds a page from raw bytes (for persistence).
-    pub fn from_bytes(arity: usize, data: &[u8]) -> Self {
-        let row_width = arity * 8;
-        assert_eq!(data.len() % row_width, 0, "corrupt page");
-        let mut buf = BytesMut::with_capacity(data.len());
-        buf.extend_from_slice(data);
-        Page {
-            rows: (data.len() / row_width) as u32,
-            buf,
-            row_width,
+    /// Appends the page's persisted image: every word little-endian, rows
+    /// in order.
+    pub fn write_le(&self, out: &mut Vec<u8>) {
+        out.reserve(self.byte_len());
+        for w in &self.words {
+            out.extend_from_slice(&w.to_le_bytes());
         }
+    }
+
+    /// Rebuilds a page from its persisted image (for persistence). The
+    /// page keeps room for a full page of rows, so a restored tail page
+    /// takes later inserts without reallocating.
+    pub fn from_le_bytes(arity: usize, data: &[u8]) -> Self {
+        assert!(arity > 0, "arity out of range");
+        assert_eq!(data.len() % (arity * 8), 0, "corrupt page");
+        let mut words = Vec::with_capacity((data.len() / 8).max(Self::capacity_words(arity)));
+        words.extend(
+            data.chunks_exact(8)
+                .map(|b| u64::from_le_bytes(b.try_into().unwrap())),
+        );
+        Page { words, arity }
     }
 }
 
@@ -139,12 +132,11 @@ mod tests {
         let mut p = Page::new(3);
         p.push_row(&[1, 2, 3]);
         p.push_row(&[4, 5, 6]);
-        let mut out = [0u64; 3];
-        p.read_row(0, &mut out);
-        assert_eq!(out, [1, 2, 3]);
-        p.read_row(1, &mut out);
-        assert_eq!(out, [4, 5, 6]);
+        assert_eq!(p.row(0), [1, 2, 3]);
+        assert_eq!(p.row(1), [4, 5, 6]);
         assert_eq!(p.len(), 2);
+        let rows: Vec<&[u64]> = p.rows().collect();
+        assert_eq!(rows, [&[1, 2, 3][..], &[4, 5, 6][..]]);
     }
 
     #[test]
@@ -163,9 +155,7 @@ mod tests {
             p.push_row(&[i as u64; 4]);
         }
         assert!(p.is_full());
-        let mut out = [0u64; 4];
-        p.read_row(cap - 1, &mut out);
-        assert_eq!(out[0], (cap - 1) as u64);
+        assert_eq!(p.row(cap - 1)[0], (cap - 1) as u64);
     }
 
     #[test]
@@ -177,23 +167,6 @@ mod tests {
     }
 
     #[test]
-    fn early_exit_scan() {
-        let mut p = Page::new(1);
-        for i in 0..10 {
-            p.push_row(&[i]);
-        }
-        let mut seen = 0;
-        let mut scratch = [0u64; 1];
-        let complete = p.for_each_row(&mut scratch, &mut |row| {
-            seen += 1;
-            row[0] < 4
-        });
-        assert!(!complete);
-        // Rows 0..=3 return true; row 4 returns false and stops the scan.
-        assert_eq!(seen, 5);
-    }
-
-    #[test]
     fn overwrite_and_pop() {
         let mut p = Page::new(2);
         p.push_row(&[1, 2]);
@@ -202,26 +175,26 @@ mod tests {
         p.overwrite_row(0, &[5, 6]);
         p.pop_row();
         assert_eq!(p.len(), 2);
-        let mut out = [0u64; 2];
-        p.read_row(0, &mut out);
-        assert_eq!(out, [5, 6]);
-        p.read_row(1, &mut out);
-        assert_eq!(out, [3, 4]);
+        assert_eq!(p.row(0), [5, 6]);
+        assert_eq!(p.row(1), [3, 4]);
         // Popped space is reusable: the page accepts a fresh row again.
         p.push_row(&[7, 8]);
-        p.read_row(2, &mut out);
-        assert_eq!(out, [7, 8]);
+        assert_eq!(p.row(2), [7, 8]);
     }
 
     #[test]
     fn bytes_round_trip() {
         let mut p = Page::new(2);
         p.push_row(&[7, 8]);
-        p.push_row(&[9, 10]);
-        let q = Page::from_bytes(2, p.bytes());
+        p.push_row(&[9, 0x0102_0304_0506_0708]);
+        let mut image = Vec::new();
+        p.write_le(&mut image);
+        assert_eq!(image.len(), p.byte_len());
+        // Little-endian words, rows in order.
+        assert_eq!(&image[..8], &7u64.to_le_bytes());
+        assert_eq!(&image[24..], &[8, 7, 6, 5, 4, 3, 2, 1]);
+        let q = Page::from_le_bytes(2, &image);
         assert_eq!(q.len(), 2);
-        let mut out = [0u64; 2];
-        q.read_row(1, &mut out);
-        assert_eq!(out, [9, 10]);
+        assert_eq!(q.row(1), [9, 0x0102_0304_0506_0708]);
     }
 }

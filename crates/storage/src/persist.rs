@@ -14,8 +14,8 @@
 use crate::engine::StorageEngine;
 use crate::page::Page;
 use crate::table::Table;
-use bytes::{Buf, BufMut, BytesMut};
-use soct_model::PredId;
+use bytes::{Buf, BufMut};
+use soct_model::{PredId, MAX_ARITY};
 use std::io;
 use std::path::Path;
 
@@ -30,7 +30,7 @@ const MAX_PRED_SLOT: usize = 1 << 22;
 /// Serialises the engine to bytes.
 pub fn to_bytes(engine: &StorageEngine) -> Vec<u8> {
     let tables: Vec<(PredId, &Table)> = engine.tables().collect();
-    let mut out = BytesMut::new();
+    let mut out = Vec::new();
     out.put_slice(MAGIC);
     out.put_u32_le(tables.len() as u32);
     for (pred, table) in tables {
@@ -41,11 +41,11 @@ pub fn to_bytes(engine: &StorageEngine) -> Vec<u8> {
         out.put_u16_le(table.arity() as u16);
         out.put_u32_le(table.pages().len() as u32);
         for page in table.pages() {
-            out.put_u32_le(page.bytes().len() as u32);
-            out.put_slice(page.bytes());
+            out.put_u32_le(page.byte_len() as u32);
+            page.write_le(&mut out);
         }
     }
-    out.to_vec()
+    out
 }
 
 /// Deserialises an engine from bytes.
@@ -82,6 +82,11 @@ pub fn from_bytes(mut data: &[u8]) -> io::Result<StorageEngine> {
         if arity == 0 {
             return Err(err("zero arity"));
         }
+        // `Table::new` never creates wider tables, and the row code relies
+        // on it (rows are copied through `[u64; MAX_ARITY]` buffers).
+        if arity > MAX_ARITY {
+            return Err(err("arity exceeds MAX_ARITY"));
+        }
         let page_count = data.get_u32_le() as usize;
         // Each page carries a 4-byte length header; don't size the vec
         // from a count the data cannot back.
@@ -94,10 +99,12 @@ pub fn from_bytes(mut data: &[u8]) -> io::Result<StorageEngine> {
                 return Err(err("truncated page header"));
             }
             let len = data.get_u32_le() as usize;
-            if data.remaining() < len || len % (arity * 8) != 0 {
+            // Tables never keep an empty page; a restored one would leave
+            // swap-remove deletes without a last row to move.
+            if data.remaining() < len || len == 0 || len % (arity * 8) != 0 {
                 return Err(err("corrupt page"));
             }
-            pages.push(Page::from_bytes(arity, &data[..len]));
+            pages.push(Page::from_le_bytes(arity, &data[..len]));
             data.advance(len);
         }
         let table = Table::from_pages(name, arity, pages);
@@ -208,6 +215,39 @@ mod tests {
         };
         assert!(from_bytes(&table(u32::MAX, 0)).is_err(), "huge pred id");
         assert!(from_bytes(&table(0, u32::MAX)).is_err(), "huge page count");
+        // A table wider than MAX_ARITY, with one well-formed row.
+        let wide = MAX_ARITY as u16 + 1;
+        let mut too_wide = MAGIC.to_vec();
+        too_wide.extend_from_slice(&1u32.to_le_bytes());
+        too_wide.extend_from_slice(&0u32.to_le_bytes());
+        too_wide.extend_from_slice(&1u16.to_le_bytes());
+        too_wide.push(b'r');
+        too_wide.extend_from_slice(&wide.to_le_bytes());
+        too_wide.extend_from_slice(&1u32.to_le_bytes());
+        too_wide.extend_from_slice(&(u32::from(wide) * 8).to_le_bytes());
+        too_wide.resize(too_wide.len() + usize::from(wide) * 8, 0);
+        assert!(from_bytes(&too_wide).is_err(), "arity above MAX_ARITY");
+    }
+
+    #[test]
+    fn empty_pages_are_rejected() {
+        // One row of `r/1`, then a zero-length page.
+        let mut image = MAGIC.to_vec();
+        image.extend_from_slice(&1u32.to_le_bytes());
+        image.extend_from_slice(&0u32.to_le_bytes());
+        image.extend_from_slice(&1u16.to_le_bytes());
+        image.push(b'r');
+        image.extend_from_slice(&1u16.to_le_bytes());
+        image.extend_from_slice(&2u32.to_le_bytes());
+        image.extend_from_slice(&8u32.to_le_bytes());
+        image.extend_from_slice(&7u64.to_le_bytes());
+        image.extend_from_slice(&0u32.to_le_bytes());
+        assert!(from_bytes(&image).is_err());
+        // Without the empty page the same image loads.
+        image.truncate(image.len() - 4);
+        image[21..25].copy_from_slice(&1u32.to_le_bytes());
+        let mut engine = from_bytes(&image).unwrap();
+        assert!(engine.delete_packed(PredId(0), &[7]));
     }
 
     proptest::proptest! {

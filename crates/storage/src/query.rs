@@ -11,6 +11,13 @@
 //! Our engine evaluates the inner `EXISTS` as an early-exit sequential scan,
 //! which is also what a row-store without a suitable index does; the SQL
 //! rendering is kept for logs and tests.
+//!
+//! [`exists`] and [`count`] share one kernel, `count_matches`: a loop over
+//! the `&[u64]` rows the table's pages lend out, with the conditions
+//! evaluated inline on each borrowed row. No row is copied or decoded, the
+//! predicate is not called through a trait object, and a query allocates
+//! nothing. The loop honours a row `limit` (the first-k-rows views of
+//! §8.1) and stops after a given number of matches (1 for `EXISTS`).
 
 use crate::table::Table;
 use std::fmt;
@@ -50,31 +57,28 @@ pub fn eval_all(conds: &[ColumnCondition], row: &[u64]) -> bool {
     conds.iter().all(|c| c.eval(row))
 }
 
+/// Rows among the first `limit` of `table` that satisfy every condition,
+/// counting at most `stop` of them: the one scan loop behind [`exists`]
+/// (`stop` = 1) and [`count`] (`stop` = `u64::MAX`).
+#[inline]
+fn count_matches(table: &Table, conds: &[ColumnCondition], limit: u64, stop: u64) -> u64 {
+    let mut n = 0u64;
+    table.for_each_row_limited(limit, |row| {
+        n += u64::from(eval_all(conds, row));
+        n < stop
+    });
+    n
+}
+
 /// `EXISTS (SELECT * FROM table WHERE conds)` over at most `limit` rows
 /// (`u64::MAX` = whole table), with early exit on the first witness.
 pub fn exists(table: &Table, conds: &[ColumnCondition], limit: u64) -> bool {
-    let mut found = false;
-    table.for_each_row_limited(limit, &mut |row| {
-        if eval_all(conds, row) {
-            found = true;
-            false // stop scanning
-        } else {
-            true
-        }
-    });
-    found
+    count_matches(table, conds, limit, 1) > 0
 }
 
 /// `SELECT COUNT(*) FROM table WHERE conds` over at most `limit` rows.
 pub fn count(table: &Table, conds: &[ColumnCondition], limit: u64) -> u64 {
-    let mut n = 0u64;
-    table.for_each_row_limited(limit, &mut |row| {
-        if eval_all(conds, row) {
-            n += 1;
-        }
-        true
-    });
-    n
+    count_matches(table, conds, limit, u64::MAX)
 }
 
 /// Renders the §5.4 query for logging (`SELECT CASE WHEN EXISTS …`).

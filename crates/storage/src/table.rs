@@ -89,25 +89,21 @@ impl Table {
     /// promises positional stability — scans are set-semantics).
     pub fn delete_first_match(&mut self, row: &[u64]) -> bool {
         debug_assert_eq!(row.len(), self.arity);
-        let mut scratch = vec![0u64; self.arity];
-        let mut hit = None;
-        'pages: for (pi, page) in self.pages.iter().enumerate() {
-            for ri in 0..page.len() {
-                page.read_row(ri, &mut scratch);
-                if scratch.as_slice() == row {
-                    hit = Some((pi, ri));
-                    break 'pages;
-                }
-            }
-        }
+        let hit = self
+            .pages
+            .iter()
+            .enumerate()
+            .find_map(|(pi, page)| page.rows().position(|r| r == row).map(|ri| (pi, ri)));
         let Some((pi, ri)) = hit else {
             return false;
         };
         let last_pi = self.pages.len() - 1;
         let last_ri = self.pages[last_pi].len() - 1;
         if (pi, ri) != (last_pi, last_ri) {
-            self.pages[last_pi].read_row(last_ri, &mut scratch);
-            self.pages[pi].overwrite_row(ri, &scratch);
+            // Safe by the MAX_ARITY contract checked in `Table::new`.
+            let mut last = [0u64; MAX_ARITY];
+            last[..self.arity].copy_from_slice(self.pages[last_pi].row(last_ri));
+            self.pages[pi].overwrite_row(ri, &last[..self.arity]);
         }
         self.pages[last_pi].pop_row();
         if self.pages[last_pi].is_empty() {
@@ -117,19 +113,21 @@ impl Table {
         true
     }
 
-    /// Visits up to `limit` rows (`u64::MAX` = all) with early exit.
-    /// Returns `false` if the callback stopped the scan.
-    pub fn for_each_row_limited(&self, limit: u64, f: &mut dyn FnMut(&[u64]) -> bool) -> bool {
-        let mut scratch = vec![0u64; self.arity];
+    /// Visits up to `limit` rows (`u64::MAX` = all) in order, handing the
+    /// callback each row borrowed straight from its page; stops early when
+    /// the callback returns `false`. Returns `false` if the callback
+    /// stopped the scan. Generic over the callback, so a caller's
+    /// predicate is inlined into the page loop.
+    #[inline]
+    pub fn for_each_row_limited(&self, limit: u64, mut f: impl FnMut(&[u64]) -> bool) -> bool {
         let mut remaining = limit;
         for page in &self.pages {
             if remaining == 0 {
                 return true;
             }
             let take = (page.len() as u64).min(remaining);
-            for i in 0..take as usize {
-                page.read_row(i, &mut scratch);
-                if !f(&scratch) {
+            for row in page.rows().take(take as usize) {
+                if !f(row) {
                     return false;
                 }
             }
@@ -139,11 +137,11 @@ impl Table {
     }
 
     /// Visits every row with early exit.
-    pub fn for_each_row(&self, f: &mut dyn FnMut(&[u64]) -> bool) -> bool {
+    pub fn for_each_row(&self, f: impl FnMut(&[u64]) -> bool) -> bool {
         self.for_each_row_limited(u64::MAX, f)
     }
 
-    /// Reads row `i` (global index) into a fresh vector — the slow
+    /// Copies row `i` (global index) into a fresh vector — the slow
     /// convenience path used by tests.
     pub fn row(&self, mut i: u64) -> Option<Vec<u64>> {
         if i >= self.rows {
@@ -151,9 +149,7 @@ impl Table {
         }
         for page in &self.pages {
             if (i as usize) < page.len() {
-                let mut out = vec![0u64; self.arity];
-                page.read_row(i as usize, &mut out);
-                return Some(out);
+                return Some(page.row(i as usize).to_vec());
             }
             i -= page.len() as u64;
         }
@@ -191,7 +187,7 @@ mod tests {
         assert_eq!(t.row_count(), 5000);
         assert!(t.page_count() > 1, "spills to multiple pages");
         let mut sum = 0u64;
-        t.for_each_row(&mut |row| {
+        t.for_each_row(|row| {
             sum += row[1];
             true
         });
@@ -205,11 +201,27 @@ mod tests {
             t.insert_packed(&[i]);
         }
         let mut seen = Vec::new();
-        t.for_each_row_limited(7, &mut |row| {
+        t.for_each_row_limited(7, |row| {
             seen.push(row[0]);
             true
         });
         assert_eq!(seen, vec![0, 1, 2, 3, 4, 5, 6]);
+    }
+
+    #[test]
+    fn early_exit_scan() {
+        let mut t = Table::new("r", 1);
+        for i in 0..10 {
+            t.insert_packed(&[i]);
+        }
+        let mut seen = 0;
+        let complete = t.for_each_row(|row| {
+            seen += 1;
+            row[0] < 4
+        });
+        assert!(!complete);
+        // Rows 0..=3 return true; row 4 returns false and stops the scan.
+        assert_eq!(seen, 5);
     }
 
     #[test]
@@ -235,7 +247,7 @@ mod tests {
         assert_eq!(t.row_count(), 2999);
         // The multiset of surviving rows is exactly the original minus one.
         let mut firsts: Vec<u64> = Vec::new();
-        t.for_each_row(&mut |row| {
+        t.for_each_row(|row| {
             firsts.push(row[0]);
             true
         });
